@@ -71,7 +71,7 @@ ci-timeline:
 # Flow-observatory gate: the flowmap unit suite (bounded exact table,
 # overflow bucket, fingerprint stability, matrix growth), the
 # zero-virtual-cost proof with the flowmap arm, the kernel-arm
-# determinism check (flow tables bit-identical across calendar/heap/
+# determinism check (flow tables bit-identical across the sequential and
 # sharded drivers), the scenario-DSL `flow` assertion suites, and the
 # relay-hotspot scenario validated against its golden fingerprint.
 ci-flows:
@@ -81,20 +81,20 @@ ci-flows:
 	$(GO) run ./cmd/cellpilot-bench validate scenarios/relay-hotspot.yaml
 .PHONY: ci-flows
 
-# Kernel microbenchmarks, both event-queue implementations side by side:
-# push/pop, steady-state churn and the cancel/purge path on the calendar
-# queue vs the retained heap, plus the allocation-free dispatch/handoff
+# Kernel microbenchmarks: calendar-queue push/pop, steady-state churn and
+# the arm/cancel/purge path, plus the allocation-free dispatch/handoff
 # paths (-benchmem makes a pooling regression visible as allocs/op).
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancelPurge|EventThroughput|QueueHandoff' -benchmem ./internal/sim/
 .PHONY: bench-kernel
 
 # Parallel-kernel gate: the sharded runtime's determinism suites under
-# the race detector — the sim-layer LP protocol tests, the kiloscale
-# seq-vs-par fingerprint equivalence, and the scenario fleet driven
-# through the sharded runtime.
+# the race detector — the sim-layer LP protocol tests, the calendar queue
+# against its heap oracle, the kernel dispatch-trace golden, the
+# kiloscale seq-vs-par fingerprint equivalence, and the scenario fleet
+# driven through the sharded runtime.
 ci-parallel:
-	$(GO) test -race -run 'TestSharded|TestQueueDifferential|TestKernelQueueKinds|TestCancelCompaction' ./internal/sim/
+	$(GO) test -race -run 'TestSharded|TestQueueDifferential|TestKernelDispatchTraceGolden|TestCancelCompaction' ./internal/sim/
 	$(GO) test -race -run 'Kiloscale|KernelArms' ./internal/workload/
 	$(GO) test -race -run 'TestScenarioFleet' ./internal/scenario/
 .PHONY: ci-parallel
@@ -107,8 +107,8 @@ bench-json:
 .PHONY: bench-json
 
 # Performance-regression gate: re-measure the five-type pingpong grid and
-# fail if any channel type's one-way p50 regressed >10% vs the committed
-# results/BENCH_pingpong.json baseline (plus, when a host baseline is
+# fail if any channel type's mean one-way latency regressed >10% vs the
+# committed results/BENCH_pingpong.json baseline (plus, when a host baseline is
 # committed, the noise-aware host-cost comparison). A tripped gate prints
 # the critical-path blame diff against results/BLAME_pingpong.json, naming
 # the stage that got slower and whether it is service or queueing time.

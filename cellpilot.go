@@ -146,7 +146,7 @@ type (
 	// SPEStats is one SPE process's local-store usage.
 	SPEStats = core.SPEStats
 	// TraceRecorder records channel operations at zero virtual cost;
-	// attach one via App.Trace.
+	// attach one with App.SetTrace.
 	TraceRecorder = trace.Recorder
 	// TraceEvent is one recorded operation.
 	TraceEvent = trace.Event
@@ -156,7 +156,7 @@ type (
 	// PhaseEvent is one stage of a transfer (mailbox, Co-Pilot, relay…).
 	PhaseEvent = trace.PhaseEvent
 	// Meter aggregates latency/bandwidth histograms and blocked-time
-	// attribution at zero virtual cost; attach one via App.Metrics.
+	// attribution at zero virtual cost; attach one with App.SetMetrics.
 	Meter = core.Meter
 	// ChannelTypeMetrics is one channel type's aggregate in Stats.
 	ChannelTypeMetrics = core.ChannelTypeMetrics
@@ -166,7 +166,7 @@ type (
 	LinkUtil = core.LinkUtil
 	// Profiler attributes every process's virtual lifetime into exclusive
 	// buckets (compute, pack, mailbox, Co-Pilot, MPI, fault backoff);
-	// attach one via App.Profile, read folded stacks or pprof after Run.
+	// attach one with App.SetProfile, read folded stacks or pprof after Run.
 	Profiler = profile.Profiler
 	// Flight is the always-on bounded ring buffer of recent phase events
 	// (App.Flight); its tail rides on fault diagnostics automatically.
@@ -179,14 +179,14 @@ type (
 	// /timeline.json) without racing the run.
 	MetricsPublisher = metrics.Publisher
 	// Timeline records windowed time-series of the run's gauges and
-	// counters against the virtual clock; attach one via App.Timeline.
+	// counters against the virtual clock; attach one with App.SetTimeline.
 	Timeline = timeline.Recorder
 	// TimelineReport is the analyzed timeline (Stats.Timeline): per-series
 	// peak/mean/p95, burst runs and per-fault recovery times.
 	TimelineReport = timeline.Report
 	// Flowmap classifies every delivery into a flow (src, dst, channel
 	// type, route) and aggregates the node×node traffic matrix, per-hop
-	// attribution, and heavy-hitter table; attach one via App.Flows.
+	// attribution, and heavy-hitter table; attach one with App.SetFlows.
 	Flowmap = flowmap.Map
 	// FlowReport is the analyzed flow observatory (Stats.Flows): traffic
 	// matrix, top-K flows, per-route and per-resource breakdowns.
@@ -241,19 +241,19 @@ func NewFaultInjector(plan FaultPlan) *FaultInjector { return fault.NewInjector(
 // (0 = unlimited).
 func NewTraceRecorder(limit int) *TraceRecorder { return trace.NewRecorder(limit) }
 
-// NewMeter creates an empty metrics aggregator for App.Metrics.
+// NewMeter creates an empty metrics aggregator for App.SetMetrics.
 func NewMeter() *Meter { return core.NewMeter() }
 
-// NewTimeline creates a windowed telemetry recorder for App.Timeline
+// NewTimeline creates a windowed telemetry recorder for App.SetTimeline
 // (window 0 selects the default 100µs bucket).
 func NewTimeline(window Time) *Timeline { return timeline.New(window) }
 
-// NewFlowmap creates a flow observatory for App.Flows (maxFlows 0 selects
+// NewFlowmap creates a flow observatory for App.SetFlows (maxFlows 0 selects
 // the default bounded flow-table size; overflow past the bound folds into
 // one exact overflow bucket, totals stay exact).
 func NewFlowmap(maxFlows int) *Flowmap { return flowmap.New(maxFlows) }
 
-// NewProfiler creates an empty virtual-time profiler for App.Profile.
+// NewProfiler creates an empty virtual-time profiler for App.SetProfile.
 func NewProfiler() *Profiler { return profile.New() }
 
 // NewMetricsPublisher creates a publisher for serving metric snapshots

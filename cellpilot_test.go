@@ -67,7 +67,9 @@ func TestFacadeObservability(t *testing.T) {
 	}
 	app := NewApp(clu, Options{})
 	rec := NewTraceRecorder(0)
-	app.Trace = rec
+	if err := app.SetTrace(rec); err != nil {
+		t.Fatal(err)
+	}
 	var down, up *Channel
 	prog := &SPEProgram{Name: "echo", Body: func(ctx *SPECtx) {
 		var v int32

@@ -31,6 +31,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -247,9 +248,9 @@ func runPingPongGrid(reps int, pub *metrics.Publisher, outDir string) {
 			}
 			cfg := workload.PingPongConfig{
 				Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: n,
-				Metrics: meter,
 			}
 			var st core.Stats
+			var rec *trace.Recorder
 			var tl *timeline.Recorder
 			var fl *flowmap.Map
 			if b == 0 {
@@ -258,12 +259,11 @@ func runPingPongGrid(reps int, pub *metrics.Publisher, outDir string) {
 				// and one batch of spans is enough for the blame baseline.
 				// The timeline and flow observatory ride along for
 				// /timeline.json and /flows.json.
-				cfg.Trace = trace.NewRecorder(0)
+				rec, tl, fl = trace.NewRecorder(0), timeline.New(0), flowmap.New(0)
 				cfg.Stats = &st
-				tl = timeline.New(0)
-				cfg.Timeline = tl
-				fl = flowmap.New(0)
-				cfg.Flows = fl
+			}
+			cfg.Observe = func(a *core.App) error {
+				return errors.Join(a.SetMetrics(meter), a.SetTrace(rec), a.SetTimeline(tl), a.SetFlows(fl))
 			}
 			res, err := workload.PingPong(cfg)
 			if err != nil {
@@ -397,8 +397,9 @@ func exceedsTolerance(ref, got, tolerance float64) bool {
 }
 
 // runGuard is the performance-regression gate: it re-measures the five-type
-// pingpong grid and fails (exit 1) if any channel type's one-way p50 is
-// more than tolerance slower than the committed baseline JSON.
+// pingpong grid and fails (exit 1) if any channel type's mean one-way
+// latency is more than tolerance slower than the committed baseline JSON's
+// one_way_us.
 func runGuard(reps int, baselinePath string, tolerance float64) {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -425,7 +426,7 @@ func runGuard(reps int, baselinePath string, tolerance float64) {
 	// when the gate trips it turns "type N got slower" into "stage X of
 	// type N got slower, mostly service|queueing".
 	blameBase, blameErr := critpath.LoadFile(filepath.Join(filepath.Dir(baselinePath), "BLAME_pingpong.json"))
-	fmt.Printf("bench guard: one-way p50 vs %s (payload %dB, tolerance +%.0f%%)\n", baselinePath, base.PayloadBytes, 100*tolerance)
+	fmt.Printf("bench guard: mean one-way latency vs %s (payload %dB, tolerance +%.0f%%)\n", baselinePath, base.PayloadBytes, 100*tolerance)
 	failed := false
 	for typ := 1; typ <= 5; typ++ {
 		name := fmt.Sprintf("type%d", typ)
@@ -438,7 +439,8 @@ func runGuard(reps int, baselinePath string, tolerance float64) {
 		var st core.Stats
 		res, err := workload.PingPong(workload.PingPongConfig{
 			Type: typ, Bytes: base.PayloadBytes, Method: workload.MethodCellPilot, Reps: reps,
-			Trace: trace.NewRecorder(0), Stats: &st,
+			Stats:   &st,
+			Observe: func(a *core.App) error { return a.SetTrace(trace.NewRecorder(0)) },
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -598,7 +600,7 @@ func runProfile(reps, traceType int, foldedPath, pprofPath string) {
 		prof := profile.New()
 		if _, err := workload.PingPong(workload.PingPongConfig{
 			Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: reps,
-			Profile: prof,
+			Observe: func(a *core.App) error { return a.SetProfile(prof) },
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -681,7 +683,7 @@ func runPhases(reps, traceType int, chromePath, metricsPath string) {
 		meter := core.NewMeter()
 		res, err := workload.PingPong(workload.PingPongConfig{
 			Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: reps,
-			Trace: rec, Metrics: meter,
+			Observe: func(a *core.App) error { return errors.Join(a.SetTrace(rec), a.SetMetrics(meter)) },
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,16 +79,17 @@ func main() {
 	}
 	app := cellpilot.NewApp(clu, cellpilot.Options{})
 	rec := cellpilot.NewTraceRecorder(0)
-	app.Trace = rec
 	meter := cellpilot.NewMeter()
-	app.Metrics = meter
 	var tl *cellpilot.Timeline
 	if *timelineOn {
 		tl = cellpilot.NewTimeline(cellpilot.Time(timelineWindow.Nanoseconds()))
-		app.Timeline = tl
 	}
+	var flows *cellpilot.Flowmap
 	if *flowsOn {
-		app.Flows = cellpilot.NewFlowmap(0)
+		flows = cellpilot.NewFlowmap(0)
+	}
+	if err := errors.Join(app.SetTrace(rec), app.SetMetrics(meter), app.SetTimeline(tl), app.SetFlows(flows)); err != nil {
+		log.Fatal(err)
 	}
 
 	// One channel pair of each Table I flavour: type 1 (PPE↔remote PPE),

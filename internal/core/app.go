@@ -125,52 +125,13 @@ type App struct {
 	spePosts map[int]spePost
 	speDone  map[int]int64
 
-	// obs is the sink set snapshotted from the public fields when Run
-	// starts; recording goes through it, so late attachment is inert.
-	obs obsSinks
-	// flight is the always-on bounded ring of recent phase events; its
-	// tail is stitched into fault diagnostics.
-	flight *trace.Flight
-	// backoff accumulates per-process fault-repost time pending profiler
-	// attribution (see noteBackoff).
-	backoff map[string]sim.Time
+	// obs holds the observability sinks the Set* methods attached and
+	// their per-event fan-out lists (see observe.go).
+	obs sinkSet
 
 	// Logf, when set, receives trace lines from Ctx.Log and SPECtx.Log
 	// prefixed with virtual time and process identity.
 	Logf func(format string, args ...any)
-	// Trace, when set, records every completed channel operation and the
-	// phases inside it (at zero virtual-time cost, so traced runs keep
-	// calibrated timings). Attach before Run (or via SetTrace, which
-	// reports misuse): Run snapshots the sinks, so a later write to this
-	// field records nothing.
-	Trace *trace.Recorder
-	// Metrics, when set, aggregates per-channel-type histograms, Co-Pilot
-	// queue statistics and per-process blocked-time attribution, surfaced
-	// through Stats. Also free of virtual-time cost. Attach before Run.
-	Metrics *Meter
-	// Profile, when set, folds every process's virtual timeline into
-	// exclusive attribution buckets (internal/profile) exportable as
-	// folded stacks or pprof. Also free of virtual-time cost. Attach
-	// before Run.
-	Profile *profile.Profiler
-	// HostProf, when set, measures what the run costs on the host:
-	// wall-clock kernel counters (events, heap traffic) and per-subsystem
-	// host-time attribution (internal/hostprof). It rides strictly outside
-	// the virtual timeline — virtual results and chaos fingerprints stay
-	// bit-for-bit identical with it attached. Attach before Run.
-	HostProf *hostprof.Profiler
-	// Timeline, when set, buckets live telemetry (Co-Pilot utilization,
-	// link saturation, per-type backlog, fault counters, ...) into fixed
-	// virtual-time windows via the kernel's clock hook
-	// (internal/timeline), surfaced through Stats().Timeline. Also free
-	// of virtual-time cost. Attach before Run.
-	Timeline *timeline.Recorder
-	// Flows, when set, classifies every delivered message into a flow
-	// (src proc, dst proc, channel type, route) and aggregates the
-	// node×node traffic matrix, per-hop attribution, and heavy-hitter
-	// table (internal/flowmap), surfaced through Stats().Flows. Also free
-	// of virtual-time cost. Attach before Run.
-	Flows *flowmap.Map
 }
 
 // NewApp starts the configuration phase on a cluster. The PI_MAIN process
@@ -186,8 +147,9 @@ func NewApp(c *cluster.Cluster, opts Options) *App {
 		copilotRank: map[copilotKey]int{},
 		spePosts:    map[int]spePost{},
 		speDone:     map[int]int64{},
-		flight:      trace.NewFlight(opts.FlightDepth),
+		obs:         sinkSet{flight: trace.NewFlight(opts.FlightDepth)},
 	}
+	a.wire()
 	if opts.FlightDepth < 0 {
 		panic(usageError(callerLoc(1), "NewApp", "FlightDepth must be >= 0 (0 selects the default depth)"))
 	}
@@ -217,7 +179,7 @@ func (a *App) Main() *Process { return a.procs[0] }
 
 // Flight returns the always-on flight recorder: the bounded ring of the
 // run's most recent transfer-phase events.
-func (a *App) Flight() *trace.Flight { return a.flight }
+func (a *App) Flight() *trace.Flight { return a.obs.flight }
 
 // ProcNodes maps every trace track label — process names and Co-Pilot rank
 // labels — to the node it runs on. The critical-path analyzer uses it to
@@ -236,74 +198,48 @@ func (a *App) ProcNodes() map[string]int {
 	return nodes
 }
 
-// attachErr shapes the configuration error the checked sink setters
-// return when Run has already started.
-func (a *App) attachErr(api string) error {
-	if a.phase == phaseConfig {
-		return nil
-	}
-	return fmt.Errorf("pilot: %s: observability sinks must be attached in the configuration phase, before Run starts (attaching later would race with recording)", api)
-}
-
-// SetTrace attaches the span recorder, rejecting the attachment with a
-// configuration error once Run has started (a late attach through the
-// public field is inert; through here it is diagnosed).
+// SetTrace attaches the span recorder: every completed channel operation
+// and the phases inside it, at zero virtual-time cost. Like every Set*
+// method it is a configuration error once Run has started.
 func (a *App) SetTrace(rec *trace.Recorder) error {
-	if err := a.attachErr("SetTrace"); err != nil {
-		return err
-	}
-	a.Trace = rec
-	return nil
+	return a.attach("SetTrace", func() { a.obs.trace = rec })
 }
 
-// SetMetrics attaches the meter, with the same configuration-phase check
-// as SetTrace.
+// SetMetrics attaches the meter: per-channel-type histograms, Co-Pilot
+// queue statistics and per-process blocked-time attribution, surfaced
+// through Stats.
 func (a *App) SetMetrics(m *Meter) error {
-	if err := a.attachErr("SetMetrics"); err != nil {
-		return err
-	}
-	a.Metrics = m
-	return nil
+	return a.attach("SetMetrics", func() { a.obs.meter = m })
 }
 
-// SetProfile attaches the virtual-time profiler, with the same
-// configuration-phase check as SetTrace.
+// SetProfile attaches the virtual-time profiler, which folds every
+// process's timeline into exclusive attribution buckets
+// (internal/profile).
 func (a *App) SetProfile(p *profile.Profiler) error {
-	if err := a.attachErr("SetProfile"); err != nil {
-		return err
-	}
-	a.Profile = p
-	return nil
+	return a.attach("SetProfile", func() { a.obs.prof = p })
 }
 
-// SetHostProf attaches the wall-clock (host-cost) profiler, with the same
-// configuration-phase check as SetTrace.
+// SetHostProf attaches the wall-clock (host-cost) profiler: kernel
+// counters and per-subsystem host-time attribution (internal/hostprof),
+// surfaced through Stats().Host. It rides strictly outside the virtual
+// timeline.
 func (a *App) SetHostProf(p *hostprof.Profiler) error {
-	if err := a.attachErr("SetHostProf"); err != nil {
-		return err
-	}
-	a.HostProf = p
-	return nil
+	return a.attach("SetHostProf", func() { a.obs.host = p })
 }
 
-// SetTimeline attaches the windowed telemetry recorder, with the same
-// configuration-phase check as SetTrace.
+// SetTimeline attaches the windowed telemetry recorder, which buckets live
+// gauges and counters into fixed virtual-time windows via the kernel's
+// clock hook (internal/timeline), surfaced through Stats().Timeline.
 func (a *App) SetTimeline(tl *timeline.Recorder) error {
-	if err := a.attachErr("SetTimeline"); err != nil {
-		return err
-	}
-	a.Timeline = tl
-	return nil
+	return a.attach("SetTimeline", func() { a.obs.tline = tl })
 }
 
-// SetFlows attaches the flow observatory, with the same
-// configuration-phase check as SetTrace.
+// SetFlows attaches the flow observatory, which classifies every delivered
+// message into a flow and aggregates the node×node traffic matrix,
+// per-hop attribution and heavy-hitter table (internal/flowmap), surfaced
+// through Stats().Flows.
 func (a *App) SetFlows(f *flowmap.Map) error {
-	if err := a.attachErr("SetFlows"); err != nil {
-		return err
-	}
-	a.Flows = f
-	return nil
+	return a.attach("SetFlows", func() { a.obs.flow = f })
 }
 
 // Processes returns all processes in creation order.
@@ -452,10 +388,6 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		return fmt.Errorf("pilot: Run called twice")
 	}
 	a.phase = phaseExec
-	// Freeze the observability sinks: everything recorded during the run
-	// goes through this snapshot, so writing the public fields after this
-	// point cannot race with recording (see SetTrace et al.).
-	a.obs = obsSinks{trace: a.Trace, meter: a.Metrics, prof: a.Profile, flight: a.flight, host: a.HostProf, tline: a.Timeline, flow: a.Flows}
 	// Wire the host-cost profiler into the kernel's probe hooks. Guarded:
 	// a typed-nil assigned into the HostProbe interface would defeat the
 	// kernel's `host != nil` fast path.
@@ -520,8 +452,8 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		a.copilots[key] = cp
 		label := world.Rank(rank).Label()
 		cp.proc = a.K.Spawn(label, func(sp *sim.Proc) {
-			a.obs.prof.ProcStart(label, sp.Now())
-			defer func() { a.obs.prof.ProcEnd(label, sp.Now()) }()
+			a.procSpan(label, nil, sp.Now(), false)
+			defer func() { a.procSpan(label, nil, sp.Now(), true) }()
 			// The whole service loop runs under one host-attribution frame:
 			// the per-proc tag persists across parks, so only the Co-Pilot's
 			// own execution slices are charged to it.
@@ -546,8 +478,8 @@ func (a *App) Run(mainBody func(ctx *Ctx)) error {
 		}
 		p.simProc = a.K.Spawn(p.name, func(sp *sim.Proc) {
 			defer a.userDone()
-			a.meterProcStart(p, sp.Now())
-			defer func() { a.meterProcEnd(p, sp.Now()) }()
+			a.procSpan(p.String(), p, sp.Now(), false)
+			defer func() { a.procSpan(p.String(), p, sp.Now(), true) }()
 			// Registered last so it runs first: absorbs procFault unwinds
 			// (recording the fault) while the bookkeeping above still runs.
 			defer a.recoverFault(p)
@@ -635,21 +567,5 @@ func (a *App) directBox(ch *Channel) *sim.Queue[dbMsg] {
 func (a *App) logf(p *sim.Proc, proc *Process, format string, args ...any) {
 	if a.Logf != nil {
 		a.Logf("[%12s] %-24s %s", p.Now(), proc, fmt.Sprintf(format, args...))
-	}
-}
-
-// record feeds the optional trace recorder, the meter's per-channel
-// backlog watermark, and — on the delivery (read) side — the flow
-// observatory. dur is the operation's blocked time, which the flow layer
-// uses as the delivery latency sample.
-func (a *App) record(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, bytes int, xfer int64, dur sim.Time) {
-	if m := a.obs.meter; m != nil {
-		m.noteBacklog(ch.id, kind)
-	}
-	if a.obs.trace != nil {
-		a.obs.trace.Record(trace.Event{At: p.Now(), Kind: kind, Proc: proc.String(), Channel: ch.id, Bytes: bytes, Xfer: xfer})
-	}
-	if kind == trace.KindRead {
-		a.flowDeliver(ch, bytes, dur)
 	}
 }

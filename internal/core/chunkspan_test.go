@@ -72,7 +72,9 @@ func TestStreamInflightGauges(t *testing.T) {
 	c := newTestCluster(t)
 	a := NewApp(c, Options{Transfer: TransferOptions{ChunkSize: 8 << 10}})
 	meter := NewMeter()
-	a.Metrics = meter
+	if err := a.SetMetrics(meter); err != nil {
+		t.Fatal(err)
+	}
 	const payload = 64 << 10
 	msg := make([]byte, payload)
 	got := make([]byte, payload)

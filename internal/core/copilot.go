@@ -411,7 +411,7 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 			p.Advance(cp.app.par.MemcpyTime(req.size))
 		}
 		copy(dst, src)
-		cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.rank.Label(), ch, req.size, copyStart, p.Now())
+		cp.app.spanPhase(ch.span(req.xfer, trace.PhaseCopy, cp.rank.Label(), req.size, copyStart, p.Now()))
 		cp.stats.Type4Copies++
 		cp.stats.Type4Bytes += int64(req.size)
 		cp.obsComplete(req)
@@ -438,11 +438,11 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 			p.Advance(cp.app.par.ShmCopyTime(req.size))
 			buf := append(append([]byte(nil), hdr...), win...)
 			cp.app.directBox(ch).Put(p, dbMsg{data: buf, xfer: req.xfer})
-			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.rank.Label(), ch, req.size, relayStart, p.Now())
+			cp.app.spanPhase(ch.span(req.xfer, trace.PhaseCopy, cp.rank.Label(), req.size, relayStart, p.Now()))
 		} else {
 			cp.rank.TagNextXfer(req.xfer)
 			cp.rank.IsendVec(p, ch.To.rank, ch.tag(), hdr, win)
-			cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.rank.Label(), ch, req.size, relayStart, p.Now())
+			cp.app.spanPhase(ch.span(req.xfer, trace.PhaseRelay, cp.rank.Label(), req.size, relayStart, p.Now()))
 		}
 		cp.stats.RelayedBytes += int64(req.size)
 		cp.obsComplete(req)
@@ -459,7 +459,7 @@ func (cp *copilot) tryWrite(p *sim.Proc, req *speReq) bool {
 		relayStart := p.Now()
 		cp.rank.TagNextXfer(req.xfer)
 		cp.rank.IsendVec(p, cp.app.copilotRankFor(ch.To), ch.tag(), hdr, win)
-		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.rank.Label(), ch, req.size, relayStart, p.Now())
+		cp.app.spanPhase(ch.span(req.xfer, trace.PhaseRelay, cp.rank.Label(), req.size, relayStart, p.Now()))
 		cp.stats.RelayedBytes += int64(req.size)
 		cp.obsComplete(req)
 		cp.notify(p, req, speStatusOK)
@@ -500,7 +500,7 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 			copyStart := p.Now()
 			p.Advance(cp.app.par.ShmCopyTime(req.size))
 			copy(cp.lsWindow(p, req), msg.data[hdrSize:])
-			cp.app.spanPhase(req.xfer, trace.PhaseCopy, cp.rank.Label(), ch, req.size, copyStart, p.Now())
+			cp.app.spanPhase(ch.span(req.xfer, trace.PhaseCopy, cp.rank.Label(), req.size, copyStart, p.Now()))
 			cp.obsComplete(req)
 			cp.notify(p, req, speStatusOK)
 			return true
@@ -518,7 +518,7 @@ func (cp *copilot) tryRead(p *sim.Proc, req *speReq) bool {
 		win := cp.lsWindow(p, req)
 		recvStart := p.Now()
 		cp.rank.RecvIntoVec(p, src, ch.tag(), hdr[:], win)
-		cp.app.spanPhase(req.xfer, trace.PhaseRelay, cp.rank.Label(), ch, req.size, recvStart, p.Now())
+		cp.app.spanPhase(ch.span(req.xfer, trace.PhaseRelay, cp.rank.Label(), req.size, recvStart, p.Now()))
 		sig, size := parseHeader(hdr[:])
 		cp.validateIncoming(p, req, sig, size)
 		cp.obsComplete(req)
@@ -555,7 +555,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 			n := chunkLen(req.size, chunk, k)
 			d := par.ChunkDMATime(n)
 			st.dmaAt[k] = res.ReserveFor(d)
-			app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.String(), req.ch, n, st.dmaAt[k]-d, st.dmaAt[k], k)
+			app.spanPhase(req.ch.span(req.xfer, trace.PhaseChunkDMA, req.proc.String(), n, st.dmaAt[k]-d, st.dmaAt[k]).OfChunk(k + 1))
 		}
 	}
 	st := req.stream
@@ -578,7 +578,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 	st.arrivals = append(st.arrivals, cp.rank.SendChunk(p, st.dst, req.ch.streamTag(), frame))
 	*fb = frame
 	fmtmsg.PutWireBuf(fb)
-	app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), req.ch, n, injStart, p.Now(), st.next)
+	app.spanPhase(req.ch.span(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), n, injStart, p.Now()).OfChunk(st.next + 1))
 	inflight := 0
 	for _, a := range st.arrivals {
 		if a > p.Now() {
@@ -592,7 +592,7 @@ func (cp *copilot) streamWrite(p *sim.Proc, req *speReq, dst int) bool {
 		cp.nudge()
 		return false
 	}
-	app.spanPhase(req.xfer, trace.PhaseChunkRelay, cp.rank.Label(), req.ch, req.size, st.startAt, p.Now())
+	app.spanPhase(req.ch.span(req.xfer, trace.PhaseChunkRelay, cp.rank.Label(), req.size, st.startAt, p.Now()))
 	cp.stats.RelayedBytes += int64(req.size)
 	cp.obsComplete(req)
 	cp.notify(p, req, speStatusOK)
@@ -642,8 +642,8 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		copy(win[rs.got*rs.chunk:], payload)
 		d := par.ChunkDMATime(len(payload))
 		rs.dmaDone = app.dmaRes(req.spe).ReserveFor(d)
-		app.spanChunk(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), req.ch, len(payload), drainStart, p.Now(), rs.got)
-		app.spanChunk(req.xfer, trace.PhaseChunkDMA, req.proc.String(), req.ch, len(payload), rs.dmaDone-d, rs.dmaDone, rs.got)
+		app.spanPhase(req.ch.span(req.xfer, trace.PhaseChunkFrame, cp.rank.Label(), len(payload), drainStart, p.Now()).OfChunk(rs.got + 1))
+		app.spanPhase(req.ch.span(req.xfer, trace.PhaseChunkDMA, req.proc.String(), len(payload), rs.dmaDone-d, rs.dmaDone).OfChunk(rs.got + 1))
 		rs.got++
 		app.meterStreamInflight(streamRecvDir, rs.nchunks-rs.got)
 		if rs.got < rs.nchunks {
@@ -655,7 +655,7 @@ func (cp *copilot) streamRead(p *sim.Proc, req *speReq, src int) bool {
 		app.K.After(rs.dmaDone-now, cp.nudge)
 		return false
 	}
-	app.spanPhase(req.xfer, trace.PhaseChunkRelay, cp.rank.Label(), req.ch, req.size, rs.startAt, p.Now())
+	app.spanPhase(req.ch.span(req.xfer, trace.PhaseChunkRelay, cp.rank.Label(), req.size, rs.startAt, p.Now()))
 	cp.obsComplete(req)
 	cp.notify(p, req, speStatusOK)
 	return true

@@ -97,7 +97,7 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 	hdr := putHeader(spec.Signature(), len(wire))
 	xfer := c.app.newXfer()
 	self := c.Self.String()
-	c.app.spanPhase(xfer, trace.PhasePack, self, ch, len(wire), opStart, c.P.Now())
+	c.app.spanPhase(ch.span(xfer, trace.PhasePack, self, len(wire), opStart, c.P.Now()))
 
 	if c.app.chunked(ch, len(wire)) {
 		return c.writeChunked(loc, api, ch, spec, wire, xfer, opStart, deadline, soft, useCtl)
@@ -126,10 +126,9 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 		}
 		c.app.copilotFor(ch.To).nudge()
 		c.app.reportSent(ch)
-		c.app.spanPhase(xfer, trace.PhaseCopy, self, ch, len(wire), copyStart, c.P.Now())
+		c.app.spanPhase(ch.span(xfer, trace.PhaseCopy, self, len(wire), copyStart, c.P.Now()))
 		c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-copyStart)
-		c.app.meterOp(ch, len(wire), c.P.Now()-opStart)
-		c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
+		c.app.opDone(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, opStart)
 		return nil
 	}
 
@@ -166,10 +165,9 @@ func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft boo
 		// detector so a blocked read on ch is not treated as a wait.
 		c.app.reportSent(ch)
 	}
-	c.app.spanPhase(xfer, trace.PhaseMPISend, self, ch, len(wire), sendStart, c.P.Now())
+	c.app.spanPhase(ch.span(xfer, trace.PhaseMPISend, self, len(wire), sendStart, c.P.Now()))
 	c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-	c.app.meterOp(ch, len(wire), c.P.Now()-opStart)
-	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
+	c.app.opDone(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, opStart)
 	return nil
 }
 
@@ -244,11 +242,11 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		}
 		c.app.reportUnblock(c.Self)
 		data, xfer = msg.data, msg.xfer
-		c.app.spanPhase(xfer, trace.PhaseMPIWait, self, ch, len(data)-hdrSize, waitStart, c.P.Now())
+		c.app.spanPhase(ch.span(xfer, trace.PhaseMPIWait, self, len(data)-hdrSize, waitStart, c.P.Now()))
 		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
 		copyStart := c.P.Now()
 		c.P.Advance(c.app.par.ShmCopyTime(len(data) - hdrSize))
-		c.app.spanPhase(xfer, trace.PhaseCopy, self, ch, len(data)-hdrSize, copyStart, c.P.Now())
+		c.app.spanPhase(ch.span(xfer, trace.PhaseCopy, self, len(data)-hdrSize, copyStart, c.P.Now()))
 	} else {
 		if c.app.chunked(ch, expected) {
 			return c.readChunked(loc, api, ch, spec, expected, opStart, deadline, soft, useCtl, args...)
@@ -274,7 +272,7 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 		}
 		c.app.reportUnblock(c.Self)
 		xfer = st.Xfer
-		c.app.spanPhase(xfer, trace.PhaseMPIWait, self, ch, len(data)-hdrSize, waitStart, c.P.Now())
+		c.app.spanPhase(ch.span(xfer, trace.PhaseMPIWait, self, len(data)-hdrSize, waitStart, c.P.Now()))
 		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
 	}
 
@@ -296,9 +294,8 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 	if err != nil {
 		c.fail(loc, api, "%v", err)
 	}
-	c.app.spanPhase(xfer, trace.PhasePack, self, ch, size, unpackStart, c.P.Now())
-	c.app.meterOp(ch, size, c.P.Now()-opStart)
-	c.app.record(c.P, trace.KindRead, c.Self, ch, size, xfer, c.P.Now()-opStart)
+	c.app.spanPhase(ch.span(xfer, trace.PhasePack, self, size, unpackStart, c.P.Now()))
+	c.app.opDone(c.P, trace.KindRead, c.Self, ch, size, xfer, opStart)
 	return nil
 }
 
@@ -368,7 +365,7 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 		arrivals = append(arrivals, c.rank.SendChunk(c.P, dst, stag, frame))
 		*fb = frame
 		fmtmsg.PutWireBuf(fb)
-		c.app.spanChunk(xfer, trace.PhaseChunkFrame, c.Self.String(), ch, n, injStart, c.P.Now(), k)
+		c.app.spanPhase(ch.span(xfer, trace.PhaseChunkFrame, c.Self.String(), n, injStart, c.P.Now()).OfChunk(k + 1))
 		inflight := 0
 		for _, a := range arrivals {
 			if a > c.P.Now() {
@@ -381,10 +378,9 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 	// detector so a blocked read on ch is not treated as a wait.
 	c.app.reportSent(ch)
 	self := c.Self.String()
-	c.app.spanPhase(xfer, trace.PhaseChunkRelay, self, ch, len(wire), sendStart, c.P.Now())
+	c.app.spanPhase(ch.span(xfer, trace.PhaseChunkRelay, self, len(wire), sendStart, c.P.Now()))
 	c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-	c.app.meterOp(ch, len(wire), c.P.Now()-opStart)
-	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-opStart)
+	c.app.opDone(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, opStart)
 	return nil
 }
 
@@ -430,7 +426,7 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 	if size != expected {
 		c.fail(loc, api, "size mismatch on %s: writer sent %d bytes, reader expects %d", ch, size, expected)
 	}
-	c.app.spanPhase(xfer, trace.PhaseMPIWait, self, ch, size, waitStart, c.P.Now())
+	c.app.spanPhase(ch.span(xfer, trace.PhaseMPIWait, self, size, waitStart, c.P.Now()))
 	drainStart := c.P.Now()
 	bp := fmtmsg.GetWireBuf(size)
 	defer fmtmsg.PutWireBuf(bp)
@@ -453,12 +449,12 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 		chunkStart := c.P.Now()
 		c.P.Advance(par.ChunkStackTime(len(payload)))
 		buf = append(buf, payload...)
-		c.app.spanChunk(xfer, trace.PhaseChunkFrame, self, ch, len(payload), chunkStart, c.P.Now(), k)
+		c.app.spanPhase(ch.span(xfer, trace.PhaseChunkFrame, self, len(payload), chunkStart, c.P.Now()).OfChunk(k + 1))
 		c.app.meterStreamInflight(streamRecvDir, nchunks-k-1)
 	}
 	*bp = buf
 	c.app.reportUnblock(c.Self)
-	c.app.spanPhase(xfer, trace.PhaseChunkRelay, self, ch, size, drainStart, c.P.Now())
+	c.app.spanPhase(ch.span(xfer, trace.PhaseChunkRelay, self, size, drainStart, c.P.Now()))
 	c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
 	if len(buf) != size {
 		c.fail(loc, api, "stream on %s delivered %d bytes, header announced %d", ch, len(buf), size)
@@ -471,9 +467,8 @@ func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expec
 	if uerr != nil {
 		c.fail(loc, api, "%v", uerr)
 	}
-	c.app.spanPhase(xfer, trace.PhasePack, self, ch, size, unpackStart, c.P.Now())
-	c.app.meterOp(ch, size, c.P.Now()-opStart)
-	c.app.record(c.P, trace.KindRead, c.Self, ch, size, xfer, c.P.Now()-opStart)
+	c.app.spanPhase(ch.span(xfer, trace.PhasePack, self, size, unpackStart, c.P.Now()))
+	c.app.opDone(c.P, trace.KindRead, c.Self, ch, size, xfer, opStart)
 	return nil
 }
 
@@ -516,8 +511,8 @@ func (c *Ctx) RunSPE(sp *Process, arg int, env any) {
 		CodeSize: sp.prog.CodeSize,
 		Main: func(sc *sdk.Context, a int, e any) {
 			defer app.userDone()
-			app.meterProcStart(sp, sc.Proc.Now())
-			defer func() { app.meterProcEnd(sp, sc.Proc.Now()) }()
+			app.procSpan(sp.String(), sp, sc.Proc.Now(), false)
+			defer func() { app.procSpan(sp.String(), sp, sc.Proc.Now(), true) }()
 			defer app.recoverFault(sp)
 			sp.simProc = sc.Proc
 			sctx2 := &SPECtx{app: app, P: sc.Proc, Self: sp, sctx: sc, arg: a, env: e}
@@ -585,10 +580,9 @@ func (c *Ctx) Broadcast(b *Bundle, format string, args ...any) {
 			c.rank.SendVec(c.P, c.peerRank(ch.To), ch.tag(), hdr, wire)
 		}
 		c.app.reportSent(ch)
-		c.app.spanPhase(xfer, trace.PhaseMPISend, c.Self.String(), ch, len(wire), sendStart, c.P.Now())
+		c.app.spanPhase(ch.span(xfer, trace.PhaseMPISend, c.Self.String(), len(wire), sendStart, c.P.Now()))
 		c.app.meterBlocked(c.Self, blockWrite, c.P.Now()-sendStart)
-		c.app.meterOp(ch, len(wire), c.P.Now()-sendStart)
-		c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-sendStart)
+		c.app.opDone(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, sendStart)
 	}
 }
 
@@ -640,10 +634,9 @@ func (c *Ctx) Gather(b *Bundle, format string, out any) {
 		if len(data) < hdrSize {
 			c.fail(loc, "PI_Gather", "malformed message on %s", ch)
 		}
-		c.app.spanPhase(st.Xfer, trace.PhaseMPIWait, c.Self.String(), ch, len(data)-hdrSize, waitStart, c.P.Now())
+		c.app.spanPhase(ch.span(st.Xfer, trace.PhaseMPIWait, c.Self.String(), len(data)-hdrSize, waitStart, c.P.Now()))
 		c.app.meterBlocked(c.Self, blockRead, c.P.Now()-waitStart)
-		c.app.meterOp(ch, len(data)-hdrSize, c.P.Now()-waitStart)
-		c.app.record(c.P, trace.KindRead, c.Self, ch, len(data)-hdrSize, st.Xfer, c.P.Now()-waitStart)
+		c.app.opDone(c.P, trace.KindRead, c.Self, ch, len(data)-hdrSize, st.Xfer, waitStart)
 		sig, size := parseHeader(data)
 		if sig != spec.Signature() || size != perWriter {
 			c.fail(loc, "PI_Gather", "writer on %s sent %d bytes with a different format; expected %q (%d bytes)",

@@ -200,7 +200,7 @@ func (a *App) opFault(loc, api string, proc *Process, ch *Channel, err error) *C
 	if errors.As(err, &base) {
 		cp := *base
 		cp.Loc, cp.API = loc, api
-		cp.Tail = a.flight.TailLines(faultTailDepth)
+		cp.Tail = a.obs.flight.TailLines(faultTailDepth)
 		return &cp
 	}
 	if errors.Is(err, sim.ErrTimeout) || errors.Is(err, mpi.ErrDeadline) {
@@ -213,12 +213,12 @@ func (a *App) opFault(loc, api string, proc *Process, ch *Channel, err error) *C
 			Loc: loc, API: api, Channel: ch.String(), ChannelID: ch.id,
 			Reason: "operation timed out", Timeout: true,
 			InCycle: inCycle, CycleDetail: detail,
-			Tail: a.flight.TailLines(faultTailDepth),
+			Tail: a.obs.flight.TailLines(faultTailDepth),
 		}
 	}
 	return &ChannelFault{
 		Loc: loc, API: api, Channel: ch.String(), ChannelID: ch.id,
-		Reason: err.Error(), Tail: a.flight.TailLines(faultTailDepth),
+		Reason: err.Error(), Tail: a.obs.flight.TailLines(faultTailDepth),
 	}
 }
 
@@ -386,7 +386,7 @@ func (a *App) faultSummary() error {
 	return &FaultSummary{
 		Faults:     append([]*ChannelFault(nil), a.faults...),
 		Killed:     append([]string(nil), a.killed...),
-		FlightTail: a.flight.TailLines(faultSummaryTailDepth),
+		FlightTail: a.obs.flight.TailLines(faultSummaryTailDepth),
 	}
 }
 

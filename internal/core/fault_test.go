@@ -530,7 +530,9 @@ func TestLossyLinkType1Delivery(t *testing.T) {
 		},
 	})
 	a := NewApp(c, Options{Faults: inj})
-	a.Metrics = NewMeter()
+	if err := a.SetMetrics(NewMeter()); err != nil {
+		t.Fatal(err)
+	}
 	var down, up *Channel
 	peer := a.CreateProcessOn(1, "peer", func(ctx *Ctx, _ int, _ any) {
 		buf := make([]int32, 200)

@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"cellpilot/internal/flowmap"
-	"cellpilot/internal/sim"
+	"cellpilot/internal/trace"
 )
 
 // copilotLabelPrefix prefixes every Co-Pilot rank label ("copilot@cell0",
@@ -95,24 +96,36 @@ func (a *App) flowInfo(ch *Channel) *chanFlow {
 	return cf
 }
 
-// flowDeliver classifies one delivered message into its flow: the flow
-// table and route aggregates take the payload size and latency sample,
-// and every hop on the route is attributed the delivered bytes (NICs
-// additionally their serialization occupancy; Co-Pilot occupancy comes
-// from the relay spans via spanPhase, which measures queueing too).
-func (a *App) flowDeliver(ch *Channel, bytes int, dur sim.Time) {
-	f := a.obs.flow
-	if f == nil {
+// flowDeliver is the flow observatory's op sink. It classifies each
+// delivered message (a completed read) into its flow: the flow table and
+// route aggregates take the payload size and latency sample, and every
+// hop on the route is attributed the delivered bytes (NICs additionally
+// their serialization occupancy; Co-Pilot occupancy comes from the relay
+// spans via flowHop, which measures queueing too).
+func (a *App) flowDeliver(e opEvent) {
+	if e.kind != trace.KindRead {
 		return
 	}
-	fi := a.flowInfo(ch)
-	f.Deliver(fi.key, bytes, dur)
+	f := a.obs.flow
+	fi := a.flowInfo(e.ch)
+	f.Deliver(fi.key, e.bytes, e.dur)
 	for _, h := range fi.hops {
-		f.HopBytes(h, fi.key, bytes)
+		f.HopBytes(h, fi.key, e.bytes)
 	}
 	for _, nic := range fi.nics {
-		f.HopBytes(nic, fi.key, bytes)
-		f.HopBusy(nic, fi.key, a.Clu.Net.SerializationTime(bytes))
+		f.HopBytes(nic, fi.key, e.bytes)
+		f.HopBusy(nic, fi.key, a.Clu.Net.SerializationTime(e.bytes))
 	}
 }
 
+// flowHop is the flow observatory's phase sink: a copy or relay span
+// executed by a Co-Pilot is that hop's measured occupancy on behalf of
+// the channel's flow.
+func (a *App) flowHop(pe trace.PhaseEvent) {
+	switch pe.Phase {
+	case trace.PhaseCopy, trace.PhaseRelay, trace.PhaseChunkRelay:
+		if strings.HasPrefix(pe.Proc, copilotLabelPrefix) {
+			a.obs.flow.HopBusy(pe.Proc, a.flowInfo(a.chans[pe.Channel]).key, pe.End-pe.Start)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"strings"
+	"fmt"
 
 	"cellpilot/internal/flowmap"
 	"cellpilot/internal/hostprof"
@@ -48,8 +48,8 @@ var (
 // Meter aggregates run-wide communication metrics: per-channel-type
 // operation latency, payload size and achieved bandwidth histograms,
 // Co-Pilot service-queue wait and depth, per-channel in-flight backlog
-// watermarks, and per-process blocked-time attribution. Attach one via
-// App.Metrics before Run; read the results from App.Stats after. Like
+// watermarks, and per-process blocked-time attribution. Attach one with
+// App.SetMetrics before Run; read the results from App.Stats after. Like
 // the trace recorder, a Meter observes at zero virtual-time cost.
 type Meter struct {
 	reg   *metrics.Registry
@@ -99,19 +99,87 @@ func (m *Meter) acc(p *Process) *procAcc {
 	return a
 }
 
-// obsSinks is the set of observability sinks a Run records into. It is
-// snapshotted from the public fields when Run starts, so attaching a
-// recorder or meter after the simulation began is inert (the checked
-// SetTrace/SetMetrics/SetProfile methods additionally report the misuse
-// as a configuration error) instead of racing with recording.
-type obsSinks struct {
+// sinkSet is an App's observability wiring: the attached sinks, and one
+// fan-out list per event kind that the dispatch helpers walk. The Set*
+// methods are the only way in, and they refuse once Run has started, so
+// the set never changes while a run records.
+type sinkSet struct {
+	flight *trace.Flight // always on
 	trace  *trace.Recorder
 	meter  *Meter
 	prof   *profile.Profiler
-	flight *trace.Flight
 	host   *hostprof.Profiler
 	tline  *timeline.Recorder
 	flow   *flowmap.Map
+
+	phase []func(trace.PhaseEvent) // every transfer phase (spanPhase)
+	op    []func(opEvent)          // every completed read or write (opDone)
+	proc  []func(procEvent)        // process lifetime start and end (procSpan)
+}
+
+// opEvent is one completed channel operation, read or write side.
+type opEvent struct {
+	kind  trace.Kind
+	at    sim.Time
+	proc  *Process
+	ch    *Channel
+	bytes int
+	xfer  int64
+	dur   sim.Time // the operation's blocked time
+}
+
+// procEvent marks a process's lifetime starting or ending. proc is nil
+// for the service processes (Co-Pilots), which only the profiler tracks.
+type procEvent struct {
+	label string
+	proc  *Process
+	at    sim.Time
+	end   bool
+}
+
+// attach is the Set* methods' shared configuration-phase check: before
+// Run it applies set and rebuilds the fan-out lists; once Run has started
+// it refuses, since attaching then would race with recording.
+func (a *App) attach(api string, set func()) error {
+	if a.phase != phaseConfig {
+		return fmt.Errorf("pilot: %s: observability sinks must be attached in the configuration phase, before Run starts (attaching later would race with recording)", api)
+	}
+	set()
+	a.wire()
+	return nil
+}
+
+// wire rebuilds the fan-out lists from the attached sinks, so attaching a
+// sink again replaces it and attaching nil detaches it.
+func (a *App) wire() {
+	s := &a.obs
+	s.phase = append(s.phase[:0], s.flight.Record)
+	s.op = s.op[:0]
+	s.proc = s.proc[:0]
+	if rec := s.trace; rec != nil {
+		s.phase = append(s.phase, rec.RecordPhase)
+		s.op = append(s.op, func(e opEvent) {
+			rec.Record(trace.Event{At: e.at, Kind: e.kind, Proc: e.proc.String(), Channel: e.ch.id, Bytes: e.bytes, Xfer: e.xfer})
+		})
+	}
+	if m := s.meter; m != nil {
+		s.op = append(s.op, m.observeOp)
+		s.proc = append(s.proc, m.observeProc)
+	}
+	if prof := s.prof; prof != nil {
+		s.phase = append(s.phase, prof.RecordPhase)
+		s.proc = append(s.proc, func(e procEvent) {
+			if e.end {
+				prof.ProcEnd(e.label, e.at)
+			} else {
+				prof.ProcStart(e.label, e.at)
+			}
+		})
+	}
+	if s.flow != nil {
+		s.phase = append(s.phase, a.flowHop)
+		s.op = append(s.op, a.flowDeliver)
+	}
 }
 
 // newXfer allocates the next transfer id (ids are 1-based; 0 means
@@ -123,58 +191,46 @@ func (a *App) newXfer() int64 {
 	return a.lastXfer
 }
 
-// spanPhase dispatches one transfer phase to every attached sink: the
-// always-on flight recorder, the optional span recorder, and the optional
-// virtual-time profiler.
-func (a *App) spanPhase(xfer int64, phase trace.PhaseKind, proc string, ch *Channel, bytes int, start, end sim.Time) {
-	if xfer == 0 {
-		return
-	}
-	pe := trace.PhaseEvent{
+// span builds the phase event for one stage of transfer xfer on ch.
+func (ch *Channel) span(xfer int64, phase trace.PhaseKind, proc string, bytes int, start, end sim.Time) trace.PhaseEvent {
+	return trace.PhaseEvent{
 		Xfer: xfer, Phase: phase, Proc: proc,
 		Channel: ch.id, ChanType: int(ch.typ), Bytes: bytes,
 		Start: start, End: end,
-	}
-	a.obs.flight.Record(pe)
-	if a.obs.trace != nil {
-		a.obs.trace.RecordPhase(pe)
-	}
-	if a.obs.prof != nil {
-		a.profAttribute(pe)
-	}
-	// Flow observatory: a copy/relay span executed by a Co-Pilot is that
-	// hop's measured occupancy on behalf of the channel's flow.
-	if f := a.obs.flow; f != nil {
-		switch phase {
-		case trace.PhaseCopy, trace.PhaseRelay, trace.PhaseChunkRelay:
-			if strings.HasPrefix(proc, copilotLabelPrefix) {
-				f.HopBusy(proc, a.flowInfo(ch).key, end-start)
-			}
-		}
 	}
 }
 
-// spanChunk dispatches one per-chunk annotation event (a chunk frame's
-// stack injection/drain, or its LS↔EA move on the MFC DMA engine). The
-// event carries the owning stream's id and the 1-based chunk index, so
-// Chrome flow events can link chunk k's injection to chunk k's drain and
-// the critical-path analyzer gets mfc-dma occupancy intervals. Annotations
-// share the stream's transfer id, so sampling keeps or drops a stream's
-// chunk events together with its primary phases; they are never fed to the
-// profiler, whose buckets are exclusive over primary stages only.
-func (a *App) spanChunk(xfer int64, phase trace.PhaseKind, proc string, ch *Channel, bytes int, start, end sim.Time, chunk int) {
-	if xfer == 0 {
+// spanPhase fans one transfer phase out to the phase sinks: the always-on
+// flight recorder, then whichever of the span recorder, the profiler and
+// the flow observatory are attached. Per-chunk annotations (pe.Chunk > 0:
+// a chunk frame's stack injection or drain, or its LS↔EA move on the MFC
+// DMA engine) share their stream's transfer id, so sampling keeps or
+// drops them together with the stream's primary phases.
+func (a *App) spanPhase(pe trace.PhaseEvent) {
+	if pe.Xfer == 0 {
 		return
 	}
-	pe := trace.PhaseEvent{
-		Xfer: xfer, Phase: phase, Proc: proc,
-		Channel: ch.id, ChanType: int(ch.typ), Bytes: bytes,
-		Start: start, End: end,
-		Stream: xfer, Chunk: chunk + 1,
+	for _, f := range a.obs.phase {
+		f(pe)
 	}
-	a.obs.flight.Record(pe)
-	if a.obs.trace != nil {
-		a.obs.trace.RecordPhase(pe)
+}
+
+// opDone fans one completed channel operation out to the op sinks; its
+// duration runs from start to the current virtual time.
+func (a *App) opDone(p *sim.Proc, kind trace.Kind, proc *Process, ch *Channel, bytes int, xfer int64, start sim.Time) {
+	now := p.Now()
+	e := opEvent{kind: kind, at: now, proc: proc, ch: ch, bytes: bytes, xfer: xfer, dur: now - start}
+	for _, f := range a.obs.op {
+		f(e)
+	}
+}
+
+// procSpan fans a process lifetime start (end=false) or end out to the
+// proc sinks.
+func (a *App) procSpan(label string, p *Process, at sim.Time, end bool) {
+	e := procEvent{label: label, proc: p, at: at, end: end}
+	for _, f := range a.obs.proc {
+		f(e)
 	}
 }
 
@@ -200,72 +256,33 @@ func (a *App) meterStreamInflight(dir string, n int) {
 	}
 }
 
-// profAttribute folds one phase into the profiler's exclusive buckets.
-// PhaseCoPilotWait is deliberately excluded: it spans the requester's
-// posting and waiting interval (already attributed on the SPE side), not
-// Co-Pilot execution. A PhaseMailboxReq that contains fault-protocol
-// reposts is split: the repost portion (noted by the stub via
-// noteBackoff) lands in fault-backoff, the remainder in mbox-req.
-func (a *App) profAttribute(pe trace.PhaseEvent) {
-	prof := a.obs.prof
-	d := pe.End - pe.Start
-	switch pe.Phase {
-	case trace.PhasePack:
-		prof.Attribute(pe.Proc, profile.BucketPack, d)
-	case trace.PhaseMailboxReq:
-		if back := a.backoff[pe.Proc]; back > 0 {
-			delete(a.backoff, pe.Proc)
-			if back > d {
-				back = d
-			}
-			prof.Attribute(pe.Proc, profile.BucketFaultBackoff, back)
-			d -= back
-		}
-		prof.Attribute(pe.Proc, profile.BucketMboxReq, d)
-	case trace.PhaseMailboxWait:
-		prof.Attribute(pe.Proc, profile.BucketMboxWait, d)
-	case trace.PhaseCoPilotService:
-		prof.Attribute(pe.Proc, profile.BucketCoPilotService, d)
-	case trace.PhaseCopy:
-		prof.Attribute(pe.Proc, profile.BucketCopy, d)
-	case trace.PhaseRelay:
-		prof.Attribute(pe.Proc, profile.BucketRelay, d)
-	case trace.PhaseMPISend:
-		prof.Attribute(pe.Proc, profile.BucketMPISend, d)
-	case trace.PhaseMPIWait:
-		prof.Attribute(pe.Proc, profile.BucketMPIWait, d)
-	case trace.PhaseChunkRelay:
-		prof.Attribute(pe.Proc, profile.BucketChunkRelay, d)
-	}
-}
-
-// noteBackoff records that proc spent d of its current mailbox request in
-// the fault-protocol repost loop, so the profiler can attribute it to
-// fault-backoff instead of mbox-req.
-func (a *App) noteBackoff(proc string, d sim.Time) {
-	if a.obs.prof == nil || d <= 0 {
-		return
-	}
-	if a.backoff == nil {
-		a.backoff = map[string]sim.Time{}
-	}
-	a.backoff[proc] += d
-}
-
-// meterOp records one completed channel operation (read or write side).
-func (a *App) meterOp(ch *Channel, bytes int, dur sim.Time) {
-	m := a.obs.meter
-	if m == nil {
-		return
-	}
-	prefix := "chan/" + ch.typ.String()
+// observeOp is the meter's op sink: per-channel-type operation count,
+// payload, latency and bandwidth, plus the channel's backlog watermark.
+func (m *Meter) observeOp(e opEvent) {
+	m.noteBacklog(e.ch.id, e.kind)
+	prefix := "chan/" + e.ch.typ.String()
 	m.reg.Counter(prefix + "/ops").Inc()
-	m.reg.Counter(prefix + "/payload_bytes_total").Add(int64(bytes))
-	m.reg.Histogram(prefix+"/latency_us", latencyBucketsUs).Observe(dur.Micros())
-	m.reg.Histogram(prefix+"/payload_bytes", sizeBuckets).Observe(float64(bytes))
-	if dur > 0 && bytes > 0 {
-		mbps := float64(bytes) / (float64(dur) / float64(sim.Second)) / 1e6
+	m.reg.Counter(prefix + "/payload_bytes_total").Add(int64(e.bytes))
+	m.reg.Histogram(prefix+"/latency_us", latencyBucketsUs).Observe(e.dur.Micros())
+	m.reg.Histogram(prefix+"/payload_bytes", sizeBuckets).Observe(float64(e.bytes))
+	if e.dur > 0 && e.bytes > 0 {
+		mbps := float64(e.bytes) / (float64(e.dur) / float64(sim.Second)) / 1e6
 		m.reg.Histogram(prefix+"/bandwidth_mbps", bwBucketsMBps).Observe(mbps)
+	}
+}
+
+// observeProc is the meter's proc sink: it bounds each user or SPE
+// process's lifetime for the blocked-time split.
+func (m *Meter) observeProc(e procEvent) {
+	if e.proc == nil {
+		return
+	}
+	acc := m.acc(e.proc)
+	if e.end {
+		acc.end = e.at
+		acc.ended = true
+	} else {
+		acc.start = e.at
 	}
 }
 
@@ -290,25 +307,6 @@ func (a *App) meterBlocked(p *Process, k blockKind, d sim.Time) {
 		return
 	}
 	a.obs.meter.acc(p).blocked[k] += d
-}
-
-// meterProcStart marks the process alive from virtual time at (meter and
-// profiler sinks).
-func (a *App) meterProcStart(p *Process, at sim.Time) {
-	if m := a.obs.meter; m != nil {
-		m.acc(p).start = at
-	}
-	a.obs.prof.ProcStart(p.String(), at)
-}
-
-// meterProcEnd marks the process finished at virtual time at.
-func (a *App) meterProcEnd(p *Process, at sim.Time) {
-	if m := a.obs.meter; m != nil {
-		acc := m.acc(p)
-		acc.end = at
-		acc.ended = true
-	}
-	a.obs.prof.ProcEnd(p.String(), at)
 }
 
 // spePost is the side-band record of an SPE's in-flight mailbox request.
@@ -353,8 +351,8 @@ func (cp *copilot) obsComplete(req *speReq) {
 	a := cp.app
 	if req.xfer != 0 {
 		lbl := cp.rank.Label()
-		a.spanPhase(req.xfer, trace.PhaseCoPilotWait, lbl, req.ch, req.size, req.postedAt, req.decodeAt)
-		a.spanPhase(req.xfer, trace.PhaseCoPilotService, lbl, req.ch, req.size, req.decodeAt, req.svcEnd)
+		a.spanPhase(req.ch.span(req.xfer, trace.PhaseCoPilotWait, lbl, req.size, req.postedAt, req.decodeAt))
+		a.spanPhase(req.ch.span(req.xfer, trace.PhaseCoPilotService, lbl, req.size, req.decodeAt, req.svcEnd))
 	}
 	if req.op == opRead {
 		// A reading stub learns its transfer's id only here, from the

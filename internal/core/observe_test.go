@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -17,44 +18,18 @@ import (
 
 // runFiveTypes runs a 2-Cell-node + 1-Xeon cluster workload that exercises
 // every Table I channel type (1: PPE↔remote PPE, 2: PPE↔local SPE,
-// 3: PPE↔remote SPE, 4: SPE↔local SPE, 5: SPE↔remote SPE), with the given
-// observability sinks attached, and returns the final virtual time.
-func runFiveTypes(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesFull(t, rounds, rec, meter, nil, nil, Options{})
-}
-
-// runFiveTypesOpts is runFiveTypes with explicit Options (used to prove
-// the hardened code paths are virtually free when no fault fires).
-func runFiveTypesOpts(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, opts Options) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesFull(t, rounds, rec, meter, nil, nil, opts)
-}
-
-// runFiveTypesFull is the most general variant: every observability sink
-// plus explicit Options.
-func runFiveTypesFull(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, prof *profile.Profiler, host *hostprof.Profiler, opts Options) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesSinks(t, rounds, rec, meter, prof, host, nil, opts)
-}
-
-// runFiveTypesSinks additionally attaches a timeline recorder.
-func runFiveTypesSinks(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, prof *profile.Profiler, host *hostprof.Profiler, tl *timeline.Recorder, opts Options) (*App, sim.Time) {
-	t.Helper()
-	return runFiveTypesAllSinks(t, rounds, rec, meter, prof, host, tl, nil, opts)
-}
-
-// runFiveTypesAllSinks additionally attaches a flow observatory.
-func runFiveTypesAllSinks(t *testing.T, rounds int, rec *trace.Recorder, meter *Meter, prof *profile.Profiler, host *hostprof.Profiler, tl *timeline.Recorder, fl *flowmap.Map, opts Options) (*App, sim.Time) {
+// 3: PPE↔remote SPE, 4: SPE↔local SPE, 5: SPE↔remote SPE) under opts,
+// with each attach func (see with) applied in the configuration phase,
+// and returns the app and the final virtual time.
+func runFiveTypes(t *testing.T, rounds int, opts Options, attach ...func(*App) error) (*App, sim.Time) {
 	t.Helper()
 	c := newTestCluster(t)
 	a := NewApp(c, opts)
-	a.Trace = rec
-	a.Metrics = meter
-	a.Profile = prof
-	a.HostProf = host
-	a.Timeline = tl
-	a.Flows = fl
+	for _, at := range attach {
+		if err := at(a); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var t1d, t1u, t2d, t2u, t3d, t3u, t4ab, t4ba, t5ab, t5ba *Channel
 	mkEcho := func(down, up **Channel) *SPEProgram {
@@ -126,37 +101,49 @@ func runFiveTypesAllSinks(t *testing.T, rounds int, rec *trace.Recorder, meter *
 	return a, c.K.Now()
 }
 
+// with adapts a Set* method expression and its sink into an attach func
+// for runFiveTypes, e.g. with((*App).SetTrace, rec).
+func with[S any](set func(*App, S) error, sink S) func(*App) error {
+	return func(a *App) error { return set(a, sink) }
+}
+
 // E-OBS1: attaching the recorder, the meter, or both leaves the virtual
 // timeline bit-for-bit identical — the tentpole's zero-cost guarantee.
 func TestObservabilityZeroCost(t *testing.T) {
-	bareApp, bare := runFiveTypes(t, 2, nil, nil)
+	bareApp, bare := runFiveTypes(t, 2, Options{})
 	recA := trace.NewRecorder(0)
-	_, withRec := runFiveTypes(t, 2, recA, nil)
-	_, withMeter := runFiveTypes(t, 2, nil, NewMeter())
+	_, withRec := runFiveTypes(t, 2, Options{}, with((*App).SetTrace, recA))
+	_, withMeter := runFiveTypes(t, 2, Options{}, with((*App).SetMetrics, NewMeter()))
 	recB := trace.NewRecorder(0)
-	_, withBoth := runFiveTypes(t, 2, recB, NewMeter())
+	_, withBoth := runFiveTypes(t, 2, Options{}, with((*App).SetTrace, recB), with((*App).SetMetrics, NewMeter()))
 	profA := profile.New()
-	_, withProf := runFiveTypesFull(t, 2, nil, nil, profA, nil, Options{})
+	_, withProf := runFiveTypes(t, 2, Options{}, with((*App).SetProfile, profA))
 	profB := profile.New()
-	allApp, withAll := runFiveTypesFull(t, 2, trace.NewRecorder(0), NewMeter(), profB, nil, Options{})
+	allApp, withAll := runFiveTypes(t, 2, Options{},
+		with((*App).SetTrace, trace.NewRecorder(0)), with((*App).SetMetrics, NewMeter()), with((*App).SetProfile, profB))
 	// The host profiler times the simulator itself with the wall clock —
 	// strictly outside the virtual timeline. Stride 1 samples every slice,
 	// the worst case for any accidental coupling.
 	hostA := hostprof.New(1)
-	hostApp, withHost := runFiveTypesFull(t, 2, nil, nil, nil, hostA, Options{})
+	hostApp, withHost := runFiveTypes(t, 2, Options{}, with((*App).SetHostProf, hostA))
 	hostAll := hostprof.New(1)
-	_, withHostAll := runFiveTypesFull(t, 2, trace.NewRecorder(0), NewMeter(), profile.New(), hostAll, Options{})
+	_, withHostAll := runFiveTypes(t, 2, Options{},
+		with((*App).SetTrace, trace.NewRecorder(0)), with((*App).SetMetrics, NewMeter()),
+		with((*App).SetProfile, profile.New()), with((*App).SetHostProf, hostAll))
 	// Timeline arms: the windowed recorder samples via the kernel clock
 	// hook but never schedules, so attached or detached the virtual
 	// timeline must match the bare run bit for bit.
 	tlA := timeline.New(0)
-	tlApp, withTimeline := runFiveTypesSinks(t, 2, nil, nil, nil, nil, tlA, Options{})
+	tlApp, withTimeline := runFiveTypes(t, 2, Options{}, with((*App).SetTimeline, tlA))
 	// Flow arms: the flow observatory classifies deliveries and attributes
 	// hop occupancy entirely from observed values — attached or detached
 	// (nil flowmap) the virtual timeline must match the bare run bit for bit.
 	flA := flowmap.New(0)
-	flApp, withFlows := runFiveTypesAllSinks(t, 2, nil, nil, nil, nil, nil, flA, Options{})
-	_, withEverything := runFiveTypesAllSinks(t, 2, trace.NewRecorder(0), NewMeter(), profile.New(), hostprof.New(1), timeline.New(0), flowmap.New(0), Options{})
+	flApp, withFlows := runFiveTypes(t, 2, Options{}, with((*App).SetFlows, flA))
+	_, withEverything := runFiveTypes(t, 2, Options{},
+		with((*App).SetTrace, trace.NewRecorder(0)), with((*App).SetMetrics, NewMeter()),
+		with((*App).SetProfile, profile.New()), with((*App).SetHostProf, hostprof.New(1)),
+		with((*App).SetTimeline, timeline.New(0)), with((*App).SetFlows, flowmap.New(0)))
 
 	if bare != withRec || bare != withMeter || bare != withBoth {
 		t.Fatalf("virtual time diverged: bare=%v rec=%v meter=%v both=%v",
@@ -250,7 +237,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 	// descriptors, link tap). With nothing injected, the virtual timeline
 	// must still be bit-for-bit that of the unhardened run.
 	inj := fault.NewInjector(fault.Plan{})
-	_, withFaults := runFiveTypesOpts(t, 2, nil, nil, Options{Faults: inj})
+	_, withFaults := runFiveTypes(t, 2, Options{Faults: inj})
 	if bare != withFaults {
 		t.Fatalf("zero-fault hardened run diverged: bare=%v hardened=%v", bare, withFaults)
 	}
@@ -298,7 +285,7 @@ func TestObservabilityZeroCost(t *testing.T) {
 // span decomposed into mailbox, Co-Pilot, and copy-or-relay phases.
 func TestSpansCoverAllSPETypes(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	_, _ = runFiveTypes(t, 2, rec, nil)
+	_, _ = runFiveTypes(t, 2, Options{}, with((*App).SetTrace, rec))
 	spans := rec.Spans()
 	byType := map[int]int{}
 	for _, sp := range spans {
@@ -334,7 +321,7 @@ func TestSpansCoverAllSPETypes(t *testing.T) {
 // track per process and per Co-Pilot.
 func TestChromeExportTracks(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	_, _ = runFiveTypes(t, 2, rec, nil)
+	_, _ = runFiveTypes(t, 2, Options{}, with((*App).SetTrace, rec))
 	var buf bytes.Buffer
 	if err := rec.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -395,7 +382,7 @@ func TestChromeExportTracks(t *testing.T) {
 // blocked-time attribution when a Meter is attached.
 func TestStatsMetrics(t *testing.T) {
 	meter := NewMeter()
-	a, final := runFiveTypes(t, 2, nil, meter)
+	a, final := runFiveTypes(t, 2, Options{}, with((*App).SetMetrics, meter))
 	st := a.Stats()
 	if st.Registry == nil {
 		t.Fatal("Stats.Registry nil with a meter attached")
@@ -459,14 +446,14 @@ func TestStatsMetrics(t *testing.T) {
 // report stays in its seed shape.
 func TestStatsStringMetricsSections(t *testing.T) {
 	meter := NewMeter()
-	a, _ := runFiveTypes(t, 2, nil, meter)
+	a, _ := runFiveTypes(t, 2, Options{}, with((*App).SetMetrics, meter))
 	s := a.Stats().String()
 	for _, want := range []string{"type1:", "type5:", "latency p50=", "bandwidth p50=", "compute", "mailbox"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Stats.String missing %q:\n%s", want, s)
 		}
 	}
-	b, _ := runFiveTypes(t, 2, nil, nil)
+	b, _ := runFiveTypes(t, 2, Options{})
 	if s := b.Stats().String(); strings.Contains(s, "latency p50=") || strings.Contains(s, "compute") {
 		t.Fatalf("Stats.String shows metric sections without a meter:\n%s", s)
 	}
@@ -554,8 +541,7 @@ func TestFaultDiagnosticsCarryFlightTail(t *testing.T) {
 const time100us = 100 * sim.Microsecond
 
 // E-OBS8: attaching observability sinks after Run has started is a
-// configuration error, and late writes to the public fields are inert —
-// Run records through the snapshot taken when it started.
+// configuration error.
 func TestAttachAfterRunRejected(t *testing.T) {
 	c := newTestCluster(t)
 	a := NewApp(c, Options{})
@@ -584,23 +570,11 @@ func TestAttachAfterRunRejected(t *testing.T) {
 	}, 0, nil)
 	ch = a.CreateChannel(a.Main(), peer)
 
-	lateRec := trace.NewRecorder(0)
-	lateMeter := NewMeter()
 	err := a.Run(func(ctx *Ctx) {
-		// Late direct field writes are inert: the run records through the
-		// snapshot bound at Run entry (nil sinks here).
-		a.Trace = lateRec
-		a.Metrics = lateMeter
 		ctx.Write(ch, "%d", int32(7))
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := len(lateRec.Events()); got != 0 {
-		t.Errorf("late-attached recorder captured %d events, want 0", got)
-	}
-	if got := len(lateMeter.Registry().CounterNames()); got != 0 {
-		t.Errorf("late-attached meter has counters %v, want none", lateMeter.Registry().CounterNames())
 	}
 	// After Run the setters still refuse (the run is over; attach to a new
 	// App instead).
@@ -614,7 +588,7 @@ func TestAttachAfterRunRejected(t *testing.T) {
 // metric registry.
 func TestCongestionTelemetry(t *testing.T) {
 	meter := NewMeter()
-	a, vt := runFiveTypes(t, 3, nil, meter)
+	a, vt := runFiveTypes(t, 3, Options{}, with((*App).SetMetrics, meter))
 	st := a.Stats()
 	if vt <= 0 {
 		t.Fatal("no virtual time elapsed")
@@ -675,5 +649,83 @@ func TestCongestionTelemetry(t *testing.T) {
 		if !found {
 			t.Errorf("no %s* gauge published; gauges: %v", p, gauges)
 		}
+	}
+}
+
+// E-OBS10: the fault protocol's descriptor reposts ride on the mailbox
+// request's phase event and the profiler charges them to fault-backoff:
+// the folded profile is pinned, and per process mbox-req plus
+// fault-backoff is exactly the recorded mailbox-request time.
+func TestProfileChargesRepostsToFaultBackoff(t *testing.T) {
+	c := newTestCluster(t)
+	inj := fault.NewInjector(fault.Plan{Events: []fault.Event{
+		{At: 0, Kind: fault.MailboxDrop, Proc: "echo#0"},
+		{At: 50 * sim.Microsecond, Kind: fault.MailboxDrop, Proc: "echo#0"},
+	}})
+	a := NewApp(c, Options{Faults: inj})
+	rec, prof := trace.NewRecorder(0), profile.New()
+	if err := errors.Join(a.SetTrace(rec), a.SetProfile(prof)); err != nil {
+		t.Fatal(err)
+	}
+	var down, up *Channel
+	echo := &SPEProgram{Name: "echo", Body: func(ctx *SPECtx) {
+		var v int32
+		for r := 0; r < 4; r++ {
+			ctx.Read(down, "%d", &v)
+			ctx.Write(up, "%d", v*3)
+		}
+	}}
+	sp := a.CreateSPE(echo, a.Main(), 0)
+	down = a.CreateChannel(a.Main(), sp)
+	up = a.CreateChannel(sp, a.Main())
+	err := a.Run(func(ctx *Ctx) {
+		ctx.RunSPE(sp, 0, nil)
+		var got int32
+		for r := 0; r < 4; r++ {
+			ctx.Write(down, "%d", int32(r))
+			ctx.Read(up, "%d", &got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.Counts.MailboxReposts == 0 {
+		t.Fatalf("no descriptor was reposted: %+v", inj.Counts)
+	}
+	var folded bytes.Buffer
+	if err := prof.FoldedStacks(&folded); err != nil {
+		t.Fatal(err)
+	}
+	// Recorded when the profiler still learned of reposts through a
+	// side-band map instead of the phase event.
+	const want = `PI_MAIN(rank0@node0);compute 60000
+PI_MAIN(rank0@node0);mpi-send 16416
+PI_MAIN(rank0@node0);mpi-wait 710160
+PI_MAIN(rank0@node0);pack 24032
+copilot@cell0;compute 464084
+copilot@cell0;copilot-service 316000
+copilot@cell0;relay 32416
+copilot@cell1;compute 810608
+echo#0(spe@node0);fault-backoff 17500
+echo#0(spe@node0);mbox-req 380656
+echo#0(spe@node0);mbox-wait 312416
+echo#0(spe@node0);pack 32032
+`
+	if folded.String() != want {
+		t.Fatalf("folded profile:\n%s\nwant:\n%s", folded.String(), want)
+	}
+	proc := sp.String()
+	var req sim.Time
+	for _, pe := range rec.Phases() {
+		if pe.Proc == proc && pe.Phase == trace.PhaseMailboxReq {
+			req += pe.Dur()
+		}
+	}
+	b := prof.Buckets(proc)
+	if b[profile.BucketFaultBackoff] <= 0 {
+		t.Fatalf("%s: no fault-backoff attributed: %v", proc, b)
+	}
+	if got := b[profile.BucketMboxReq] + b[profile.BucketFaultBackoff]; got != req {
+		t.Fatalf("%s: mbox-req + fault-backoff = %v, recorded mailbox-request time %v", proc, got, req)
 	}
 }

@@ -65,10 +65,12 @@ type Process struct {
 
 	// Fault-layer state (untouched in clean runs): the sim proc backing
 	// the process once running (so injection can kill it), whether the
-	// process was killed, and the stub's mailbox descriptor sequence.
+	// process was killed, the stub's mailbox descriptor sequence, and the
+	// repost time its next mailbox-request phase event carries.
 	simProc *sim.Proc
 	dead    bool
 	mboxSeq uint32
+	repost  sim.Time
 }
 
 // ID reports the process id (creation order; PI_MAIN is 0).

@@ -42,6 +42,15 @@ func (c *SPECtx) Index() int { return c.Self.index }
 // image and the stack reserve.
 func (c *SPECtx) LSFree() int { return c.sctx.SPE.LS.Free() }
 
+// mailboxReq builds the mailbox-request phase event of a descriptor
+// posted over [start, end]. It carries, and consumes, the repost time the
+// fault protocol has added since the last such event.
+func (c *SPECtx) mailboxReq(xfer int64, ch *Channel, bytes int, start, end sim.Time) trace.PhaseEvent {
+	pe := ch.span(xfer, trace.PhaseMailboxReq, c.Self.String(), bytes, start, end)
+	pe.Repost, c.Self.repost = c.Self.repost, 0
+	return pe
+}
+
 func (c *SPECtx) fail(loc, api, format string, args ...any) {
 	c.P.Fatalf("%v", usageError(loc, api, format, args...))
 }
@@ -91,11 +100,12 @@ func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 	c.Self.mboxSeq++
 	inj := c.app.opts.Faults
 	// Time spent from the first repost onward is fault-protocol backoff,
-	// not nominal posting cost; the profiler attributes it separately.
+	// not nominal posting cost; the mailbox-request phase event carries it
+	// (see mailboxReq) so the profiler attributes it separately.
 	repostFrom := sim.Time(-1)
 	defer func() {
 		if repostFrom >= 0 {
-			c.app.noteBackoff(c.Self.String(), c.P.Now()-repostFrom)
+			c.Self.repost += c.P.Now() - repostFrom
 		}
 	}()
 	for attempt := 0; ; attempt++ {
@@ -238,7 +248,7 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	}
 	c.P.Advance(c.app.par.SPEStubOverhead + c.app.par.PackTime(len(wire)))
 	xfer := c.app.newXfer()
-	c.app.spanPhase(xfer, trace.PhasePack, c.Self.String(), ch, len(wire), packStart, c.P.Now())
+	c.app.spanPhase(ch.span(xfer, trace.PhasePack, c.Self.String(), len(wire), packStart, c.P.Now()))
 	ls := c.sctx.SPE.LS
 	lsAddr, err := ls.Alloc("PI_Write buffer", len(wire), 16)
 	if err != nil {
@@ -309,12 +319,10 @@ func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft 
 	} else {
 		c.app.reportSent(ch) // eager relay: in flight regardless of reader
 	}
-	self := c.Self.String()
-	c.app.spanPhase(xfer, trace.PhaseMailboxReq, self, ch, len(wire), postStart, postEnd)
-	c.app.spanPhase(xfer, trace.PhaseMailboxWait, self, ch, len(wire), postEnd, c.P.Now())
+	c.app.spanPhase(c.mailboxReq(xfer, ch, len(wire), postStart, postEnd))
+	c.app.spanPhase(ch.span(xfer, trace.PhaseMailboxWait, c.Self.String(), len(wire), postEnd, c.P.Now()))
 	c.app.meterBlocked(c.Self, blockMailbox, c.P.Now()-postStart)
-	c.app.meterOp(ch, len(wire), c.P.Now()-packStart)
-	c.app.record(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, c.P.Now()-packStart)
+	c.app.opDone(c.P, trace.KindWrite, c.Self, ch, len(wire), xfer, packStart)
 	if err := ls.Release(); err != nil {
 		c.fail(loc, api, "%v", err)
 	}
@@ -435,12 +443,11 @@ func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft b
 		c.fail(loc, api, "%v", err)
 	}
 	self := c.Self.String()
-	c.app.spanPhase(xfer, trace.PhaseMailboxReq, self, ch, expected, postStart, postEnd)
-	c.app.spanPhase(xfer, trace.PhaseMailboxWait, self, ch, expected, postEnd, waitEnd)
-	c.app.spanPhase(xfer, trace.PhasePack, self, ch, expected, waitEnd, c.P.Now())
+	c.app.spanPhase(c.mailboxReq(xfer, ch, expected, postStart, postEnd))
+	c.app.spanPhase(ch.span(xfer, trace.PhaseMailboxWait, self, expected, postEnd, waitEnd))
+	c.app.spanPhase(ch.span(xfer, trace.PhasePack, self, expected, waitEnd, c.P.Now()))
 	c.app.meterBlocked(c.Self, blockMailbox, waitEnd-postStart)
-	c.app.meterOp(ch, expected, c.P.Now()-postStart)
-	c.app.record(c.P, trace.KindRead, c.Self, ch, expected, xfer, c.P.Now()-postStart)
+	c.app.opDone(c.P, trace.KindRead, c.Self, ch, expected, xfer, postStart)
 	if err := ls.Release(); err != nil {
 		c.fail(loc, api, "%v", err)
 	}

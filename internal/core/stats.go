@@ -66,7 +66,7 @@ type LinkUtil struct {
 
 // ChannelTypeMetrics aggregates every operation that completed on
 // channels of one Table I type. Populated only when a Meter was attached
-// (App.Metrics); the histograms are live views into the meter's registry.
+// (App.SetMetrics); the histograms are live views into the meter's registry.
 type ChannelTypeMetrics struct {
 	Type ChannelType
 	// Ops counts completed read and write operations; Bytes is the total
@@ -130,7 +130,7 @@ type Stats struct {
 	// Links reports per-NIC occupancy and saturation, in node order.
 	Links []LinkUtil
 	// ChannelTypes, ProcTimes and Registry carry the Meter's aggregates
-	// when App.Metrics was attached; all are nil otherwise.
+	// when a meter was attached (App.SetMetrics); all are nil otherwise.
 	ChannelTypes []ChannelTypeMetrics
 	ProcTimes    []ProcTime
 	Registry     *metrics.Registry
@@ -145,16 +145,16 @@ type Stats struct {
 	CritPath *critpath.Report
 	// Host is the wall-clock (host-cost) profile: kernel event and heap
 	// counters plus per-subsystem host-time shares. Populated only when
-	// App.HostProf was attached; nil otherwise.
+	// a host profiler was attached (App.SetHostProf); nil otherwise.
 	Host *hostprof.Snapshot
 	// Timeline is the windowed telemetry report (per-window series plus
 	// peak/mean/p95/burst/recovery analytics). Populated only when
-	// App.Timeline was attached; nil otherwise.
+	// a timeline was attached (App.SetTimeline); nil otherwise.
 	Timeline *timeline.Report
 	// Flows is the flow observatory report: node×node traffic matrix,
 	// top-K heavy-hitter flows, per-route aggregates, and per-resource
 	// (NIC/Co-Pilot) contribution breakdowns. Populated only when
-	// App.Flows was attached; nil otherwise.
+	// a flowmap was attached (App.SetFlows); nil otherwise.
 	Flows *flowmap.Report
 }
 
@@ -224,9 +224,6 @@ func (a *App) Stats() Stats {
 		st.Host = &snap
 	}
 	m := a.obs.meter
-	if m == nil {
-		m = a.Metrics // Stats before Run: nothing recorded, but keep the registry visible
-	}
 	if inj := a.opts.Faults; inj != nil {
 		st.Faults = &FaultStats{
 			Counts: inj.Counts,

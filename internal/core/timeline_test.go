@@ -13,7 +13,7 @@ import (
 // and surfaces through Stats().Timeline.
 func TestTimelineRecordsRun(t *testing.T) {
 	tl := timeline.New(20 * sim.Microsecond)
-	app, vt := runFiveTypesSinks(t, 2, nil, NewMeter(), nil, nil, tl, Options{})
+	app, vt := runFiveTypes(t, 2, Options{}, with((*App).SetMetrics, NewMeter()), with((*App).SetTimeline, tl))
 	rep := app.Stats().Timeline
 	if rep == nil {
 		t.Fatal("Stats().Timeline nil with a recorder attached")
@@ -59,7 +59,7 @@ func TestTimelineRecordsRun(t *testing.T) {
 func TestTimelineDeterministicAcrossRuns(t *testing.T) {
 	run := func() string {
 		tl := timeline.New(20 * sim.Microsecond)
-		runFiveTypesSinks(t, 2, nil, NewMeter(), nil, nil, tl, Options{})
+		runFiveTypes(t, 2, Options{}, with((*App).SetMetrics, NewMeter()), with((*App).SetTimeline, tl))
 		return tl.Fingerprint()
 	}
 	a, b := run(), run()
@@ -111,11 +111,11 @@ func TestTimelineNotesFaults(t *testing.T) {
 func TestFlightDepthOption(t *testing.T) {
 	c := newTestCluster(t)
 	a := NewApp(c, Options{FlightDepth: 8})
-	if got := a.flight.Depth(); got != 8 {
+	if got := a.Flight().Depth(); got != 8 {
 		t.Fatalf("flight depth = %d, want 8", got)
 	}
 	c2 := newTestCluster(t)
-	if got := NewApp(c2, Options{}).flight.Depth(); got != 256 {
+	if got := NewApp(c2, Options{}).Flight().Depth(); got != 256 {
 		t.Fatalf("default flight depth = %d, want 256", got)
 	}
 	defer func() {

@@ -10,7 +10,9 @@ func TestTraceRecordsChannelOps(t *testing.T) {
 	c := newTestCluster(t)
 	a := NewApp(c, Options{})
 	rec := trace.NewRecorder(0)
-	a.Trace = rec
+	if err := a.SetTrace(rec); err != nil {
+		t.Fatal(err)
+	}
 	var down, up *Channel
 	prog := &SPEProgram{Name: "echo", Body: func(ctx *SPECtx) {
 		buf := make([]byte, 64)
@@ -49,7 +51,9 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 		c := newTestCluster(t)
 		a := NewApp(c, Options{})
 		if withTrace {
-			a.Trace = trace.NewRecorder(0)
+			if err := a.SetTrace(trace.NewRecorder(0)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		peer := a.CreateProcessOn(1, "peer", func(ctx *Ctx, _ int, arg any) {
 			var v int32

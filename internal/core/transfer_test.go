@@ -25,7 +25,9 @@ func runType1Bounce(t *testing.T, bytes int, opts Options, rec *trace.Recorder, 
 	t.Helper()
 	c := newTestCluster(t)
 	a := NewApp(c, opts)
-	a.Trace = rec
+	if err := a.SetTrace(rec); err != nil {
+		t.Fatal(err)
+	}
 	format := fmt.Sprintf("%%%db", bytes)
 	msg := make([]byte, bytes)
 	for i := range msg {
@@ -95,8 +97,8 @@ func countChunkRelay(rec *trace.Recorder) int {
 // zero ChunkSize... except ZeroCopyType4, which is its own independent
 // switch and must be off too for strict equality.
 func TestTransferDisabledZeroCost(t *testing.T) {
-	_, bare := runFiveTypesOpts(t, 2, nil, nil, Options{})
-	_, knobs := runFiveTypesOpts(t, 2, nil, nil, Options{
+	_, bare := runFiveTypes(t, 2, Options{})
+	_, knobs := runFiveTypes(t, 2, Options{
 		Transfer: TransferOptions{ChunkSize: 0, PipelineDepth: 9, EagerMax: 123},
 	})
 	if bare != knobs {

@@ -135,7 +135,8 @@ func Suites(quick bool) []Suite {
 				var st core.Stats
 				_, err := workload.PingPong(workload.PingPongConfig{
 					Type: t, Bytes: 1600, Method: workload.MethodCellPilot,
-					Reps: ppReps, Host: h, Stats: &st,
+					Reps: ppReps, Stats: &st,
+					Observe: func(a *core.App) error { return a.SetHostProf(h) },
 				})
 				return st.VirtualTime, err
 			},
@@ -165,7 +166,8 @@ func Suites(quick bool) []Suite {
 		Run: func(h *hostprof.Profiler) (sim.Time, error) {
 			res, err := workload.Chaos(workload.ChaosConfig{
 				Seed: 42, Reps: chaosReps, LossProb: 0.05,
-				KillSPE: true, MailboxDrops: 2, Host: h,
+				KillSPE: true, MailboxDrops: 2,
+				Observe: func(a *core.App) error { return a.SetHostProf(h) },
 			})
 			return res.VirtualTime, err
 		},

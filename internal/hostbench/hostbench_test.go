@@ -218,7 +218,8 @@ func tinySuite() []Suite {
 			var st core.Stats
 			_, err := workload.PingPong(workload.PingPongConfig{
 				Type: 1, Bytes: 256, Method: workload.MethodCellPilot,
-				Reps: 10, Host: h, Stats: &st,
+				Reps: 10, Stats: &st,
+				Observe: func(a *core.App) error { return a.SetHostProf(h) },
 			})
 			return st.VirtualTime, err
 		},

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"cellpilot/internal/sim"
+	"cellpilot/internal/trace"
 )
 
 // Bucket names. Every nanosecond of a process's lifetime lands in exactly
@@ -33,6 +34,23 @@ const (
 	BucketFaultBackoff   = "fault-backoff"
 	BucketChunkRelay     = "chunk-relay"
 )
+
+// phaseBuckets maps each primary transfer phase onto the bucket it is
+// charged to. PhaseCoPilotWait is deliberately absent: it spans the
+// requester's posting and waiting interval (already attributed on the SPE
+// side), not Co-Pilot execution. The per-chunk annotations are absent
+// too: their enclosing chunk-relay phase already covers them.
+var phaseBuckets = [...]string{
+	trace.PhasePack:           BucketPack,
+	trace.PhaseMailboxReq:     BucketMboxReq,
+	trace.PhaseMailboxWait:    BucketMboxWait,
+	trace.PhaseCoPilotService: BucketCoPilotService,
+	trace.PhaseCopy:           BucketCopy,
+	trace.PhaseRelay:          BucketRelay,
+	trace.PhaseMPISend:        BucketMPISend,
+	trace.PhaseMPIWait:        BucketMPIWait,
+	trace.PhaseChunkRelay:     BucketChunkRelay,
+}
 
 // procProfile is one process's attribution state.
 type procProfile struct {
@@ -90,6 +108,21 @@ func (p *Profiler) Attribute(name, bucket string, d sim.Time) {
 		return
 	}
 	p.proc(name).buckets[bucket] += d
+}
+
+// RecordPhase folds one transfer phase into its process's exclusive
+// buckets. A mailbox request's fault-protocol repost share (pe.Repost)
+// lands in fault-backoff and the remainder in mbox-req.
+func (p *Profiler) RecordPhase(pe trace.PhaseEvent) {
+	if int(pe.Phase) >= len(phaseBuckets) || phaseBuckets[pe.Phase] == "" {
+		return
+	}
+	d := pe.Dur()
+	if back := min(pe.Repost, d); back > 0 {
+		p.Attribute(pe.Proc, BucketFaultBackoff, back)
+		d -= back
+	}
+	p.Attribute(pe.Proc, phaseBuckets[pe.Phase], d)
 }
 
 // Finish closes every process that never reported an end (service loops

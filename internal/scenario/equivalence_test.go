@@ -9,11 +9,10 @@ import (
 
 // The scenario library is the kernel's broadest regression surface: nine
 // files spanning every workload kind, fault plan and assertion the DSL
-// can express. These suites run the whole fleet under the alternate
-// kernel configurations — heap vs calendar event queue, sequential vs
-// sharded parallel driver — and demand bit-for-bit identical
-// fingerprints. Quick mode is fine here: both arms of each comparison
-// run the same shape, so equivalence (unlike golden comparison) holds.
+// can express. This suite runs the whole fleet sequentially and under the
+// sharded parallel driver and demands bit-for-bit identical fingerprints.
+// Quick mode is fine here: both arms run the same shape, so equivalence
+// (unlike golden comparison) holds.
 
 // fleetFingerprints runs every library scenario once (no determinism
 // re-runs — the comparison across arms is the determinism check) and
@@ -32,31 +31,6 @@ func fleetFingerprints(files []string) (map[string]string, error) {
 		out[f] = o.Fingerprint
 	}
 	return out, nil
-}
-
-// TestScenarioFleetQueueKindEquivalence: every checked-in scenario must
-// fingerprint identically under the calendar queue (the default) and the
-// original heap queue.
-func TestScenarioFleetQueueKindEquivalence(t *testing.T) {
-	files, err := ListFiles("../../scenarios")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal, err := fleetFingerprints(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := sim.SetDefaultQueueKind(sim.QueueHeap)
-	hp, err := fleetFingerprints(files)
-	sim.SetDefaultQueueKind(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if cal[f] != hp[f] {
-			t.Errorf("%s: queue kinds diverge:\n%s", f, firstDiff(cal[f], hp[f]))
-		}
-	}
 }
 
 // TestScenarioFleetShardedEquivalence: the whole library executed as

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -166,8 +167,10 @@ func runOnce(s *Scenario, opt Options) (*Outcome, error) {
 				res, err := workload.Chaos(workload.ChaosConfig{
 					Seed: seed, Reps: w.Reps, Bytes: w.Bytes,
 					SoftTimeout: w.SoftTimeout, Transfer: w.Transfer,
-					Spec: spec(), Plan: plan, Trace: rec, Stats: &st,
-					Timeline: tl, Flows: fl,
+					Spec: spec(), Plan: plan, Stats: &st,
+					Observe: func(a *core.App) error {
+						return errors.Join(a.SetTrace(rec), a.SetTimeline(tl), a.SetFlows(fl))
+					},
 				})
 				if err != nil {
 					return nil, fmt.Errorf("workloads[%d] chaos seed %d: %w", i, seed, err)

@@ -58,16 +58,9 @@ func BenchmarkContextSwitch(b *testing.B) {
 }
 
 // BenchmarkHeapPushPop measures the event queue alone: schedule b.N
-// staggered callbacks, then drain them in timestamp order. The /calendar
-// and /heap variants run the identical workload on each queue kind — the
-// `make bench-kernel` comparison pair.
+// staggered callbacks, then drain them in timestamp order.
 func BenchmarkHeapPushPop(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchPushPop(b, QueueCalendar) })
-	b.Run("heap", func(b *testing.B) { benchPushPop(b, QueueHeap) })
-}
-
-func benchPushPop(b *testing.B, kind QueueKind) {
-	k := NewKernelQueue(1, kind)
+	k := NewKernel(1)
 	for i := 0; i < b.N; i++ {
 		// Staggered deadlines exercise real resort work rather than the
 		// sorted-append fast path; the horizon grows with b.N so event
@@ -85,14 +78,9 @@ func benchPushPop(b *testing.B, kind QueueKind) {
 
 // BenchmarkQueueChurn measures steady-state scheduling — a bounded
 // population of in-flight timers with constant arm/fire churn, the shape
-// Co-Pilot scan loops generate — on both queue kinds.
+// Co-Pilot scan loops generate.
 func BenchmarkQueueChurn(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchChurn(b, QueueCalendar) })
-	b.Run("heap", func(b *testing.B) { benchChurn(b, QueueHeap) })
-}
-
-func benchChurn(b *testing.B, kind QueueKind) {
-	k := NewKernelQueue(1, kind)
+	k := NewKernel(1)
 	const fanout = 256
 	n := b.N
 	var arm func()
@@ -112,20 +100,20 @@ func benchChurn(b *testing.B, kind QueueKind) {
 	}
 }
 
-// BenchmarkTimerCancelPurge measures the cancelled-timer path: every
-// timer is armed and cancelled before it fires, so the run is pure
-// schedule + purge/compact with no callback ever executing.
+// BenchmarkTimerCancelPurge measures the cancelled-timer path, one op per
+// timer, all inside the timed region: arm a deadline the way GetCtl/PutCtl
+// do, cancel it before it fires, and pay its share of the purge — the bulk
+// compaction that runs once cancelled timers outnumber half the live
+// entries, plus the lazy at-the-head purge of the remainder when Run
+// drains the queue. No cancelled callback ever runs.
 func BenchmarkTimerCancelPurge(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchCancelPurge(b, QueueCalendar) })
-	b.Run("heap", func(b *testing.B) { benchCancelPurge(b, QueueHeap) })
-}
-
-func benchCancelPurge(b *testing.B, kind QueueKind) {
-	k := NewKernelQueue(1, kind)
-	for i := 0; i < b.N; i++ {
-		k.AfterTimer(Time(i)*Microsecond, func() { b.Error("cancelled timer fired") }).Cancel()
-	}
+	k := NewKernel(1)
+	fired := func() { b.Error("cancelled timer fired") }
 	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm := k.afterTimer(Time(i%1000+1)*Microsecond, fired)
+		tm.Cancel()
+	}
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -138,8 +126,9 @@ func BenchmarkEventDispatch(b *testing.B) {
 }
 
 // BenchmarkEventDispatchProbed is BenchmarkEventDispatch with a host
-// probe attached; the delta against the unprobed run is the
-// instrumentation's whole per-event cost (the <2% overhead budget).
+// probe attached; the delta against the unprobed run is the kernel's
+// whole per-event hook cost. What a real profiler costs a whole run is the
+// benchmark's hostprof.overhead_frac row (perfbench/README.md).
 func BenchmarkEventDispatchProbed(b *testing.B) {
 	benchDispatch(b, countingProbe{n: new(int)})
 }

@@ -19,7 +19,8 @@ import "sort"
 //
 // Determinism: the queue orders purely by eventLess (at, src, seq) —
 // events at equal timestamps land in the same bucket and are kept sorted
-// there — so its pop sequence is bit-for-bit identical to heapQueue's.
+// there — so its pop sequence is bit-for-bit identical to a binary heap
+// ordered by eventLess (the differential tests' oracle).
 type calQueue struct {
 	buckets [][]*event
 	mask    int  // len(buckets)-1; len is a power of two

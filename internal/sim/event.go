@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"container/heap"
-	"sync/atomic"
-)
-
 // event is a scheduled kernel action: either waking a parked proc or
 // running a callback inside the scheduler.
 type event struct {
@@ -50,112 +45,6 @@ func eventLess(a, b *event) bool {
 	}
 	return a.seq < b.seq
 }
-
-// eventQueue is the scheduler's priority queue: Pop removes and returns
-// the eventLess-minimum, Peek returns it without removing. Two
-// implementations exist — calQueue (calendar queue, the default) and
-// heapQueue (the original container/heap queue, retained behind
-// QueueHeap for differential testing) — and both yield the exact same
-// pop order, so runs are bit-for-bit identical under either.
-type eventQueue interface {
-	Push(*event)
-	Pop() *event
-	Peek() *event
-	Len() int
-	// Compact removes every cancelled event, calling onPurge for each.
-	Compact(onPurge func(*event))
-	// Clear drops all events (kernel shutdown).
-	Clear()
-}
-
-// QueueKind selects the event-queue implementation behind a kernel.
-type QueueKind int32
-
-const (
-	// QueueCalendar is the calendar queue (O(1) amortized push/pop for
-	// the bursty short-horizon timer mix the simulator generates).
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the original container/heap binary heap, kept for
-	// differential testing and as a fallback.
-	QueueHeap
-)
-
-// defaultQueueKind is what NewKernel uses; atomic so tests can flip it
-// while parallel (-race) suites run.
-var defaultQueueKind atomic.Int32
-
-// DefaultQueueKind reports the queue implementation NewKernel selects.
-func DefaultQueueKind() QueueKind { return QueueKind(defaultQueueKind.Load()) }
-
-// SetDefaultQueueKind changes the queue implementation NewKernel selects
-// and returns the previous one. Differential suites flip it around a run
-// to execute the identical workload on the other queue.
-func SetDefaultQueueKind(kind QueueKind) QueueKind {
-	return QueueKind(defaultQueueKind.Swap(int32(kind)))
-}
-
-func newEventQueue(kind QueueKind) eventQueue {
-	if kind == QueueHeap {
-		return &heapQueue{}
-	}
-	return newCalQueue()
-}
-
-// eventHeap is a min-heap in eventLess order (the QueueHeap backend).
-type eventHeap []*event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-
-// heapQueue adapts eventHeap to the eventQueue interface.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) Push(ev *event) { heap.Push(&q.h, ev) }
-func (q *heapQueue) Len() int       { return len(q.h) }
-
-func (q *heapQueue) Pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) Peek() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) Compact(onPurge func(*event)) {
-	kept := q.h[:0]
-	for _, ev := range q.h {
-		if ev.cancelled {
-			onPurge(ev)
-		} else {
-			kept = append(kept, ev)
-		}
-	}
-	for i := len(kept); i < len(q.h); i++ {
-		q.h[i] = nil
-	}
-	q.h = kept
-	heap.Init(&q.h)
-}
-
-func (q *heapQueue) Clear() { q.h = nil }
 
 // maxFreeEvents bounds the per-kernel event free list so a burst (a huge
 // fan-out of timers) does not pin its high-water mark of event objects

@@ -12,11 +12,11 @@ import (
 // scheduler or the single running proc) touches it at a time, so no locks
 // are needed and runs are deterministic.
 type Kernel struct {
-	now  Time
-	seq  uint64
-	pq   eventQueue
-	free []*event // recycled event objects, never shared across kernels
-	ctl  chan struct{} // running proc -> scheduler: "I parked or exited"
+	now   Time
+	seq   uint64
+	pq    *calQueue
+	free  []*event      // recycled event objects, never shared across kernels
+	ctl   chan struct{} // running proc -> scheduler: "I parked or exited"
 	rng   *rand.Rand
 	trac  Tracer
 	host  HostProbe // wall-clock instrumentation; nil disables
@@ -73,18 +73,10 @@ type HostProbe interface {
 }
 
 // NewKernel returns a kernel with the virtual clock at zero. The seed feeds
-// the kernel RNG used by procs; identical seeds give identical runs. The
-// event queue is the process-wide default kind (see SetDefaultQueueKind).
+// the kernel RNG used by procs; identical seeds give identical runs.
 func NewKernel(seed int64) *Kernel {
-	return NewKernelQueue(seed, DefaultQueueKind())
-}
-
-// NewKernelQueue is NewKernel with an explicit event-queue implementation,
-// for differential testing: both kinds produce the identical pop order, so
-// same-seed runs are bit-for-bit equal under either.
-func NewKernelQueue(seed int64, kind QueueKind) *Kernel {
 	return &Kernel{
-		pq:    newEventQueue(kind),
+		pq:    newCalQueue(),
 		ctl:   make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		grant: Forever,

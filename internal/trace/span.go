@@ -123,10 +123,21 @@ type PhaseEvent struct {
 	// chunk index. Both are zero on whole-transfer phase events.
 	Stream int64
 	Chunk  int
+	// Repost is the share of a PhaseMailboxReq the SPE stub spent in the
+	// fault protocol's repost loop (zero on every other phase); the
+	// profiler charges it to fault-backoff instead of mbox-req.
+	Repost sim.Time
 }
 
 // Dur reports the phase duration.
 func (pe PhaseEvent) Dur() sim.Time { return pe.End - pe.Start }
+
+// OfChunk marks pe as the k-th (1-based) chunk annotation of its
+// transfer's stream.
+func (pe PhaseEvent) OfChunk(k int) PhaseEvent {
+	pe.Stream, pe.Chunk = pe.Xfer, k
+	return pe
+}
 
 // RecordPhase appends a phase event, honouring the recorder's limit with
 // separate drop accounting from flat events, and the sampling rate set by

@@ -9,11 +9,7 @@ import (
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/core"
 	"cellpilot/internal/fault"
-	"cellpilot/internal/flowmap"
-	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
-	"cellpilot/internal/timeline"
-	"cellpilot/internal/trace"
 )
 
 // ChaosConfig describes one seeded chaos run: concurrent pingpong traffic
@@ -49,11 +45,6 @@ type ChaosConfig struct {
 	// With chunking on and Bytes past the eager bound, the internode flows
 	// (types 1, 3 and 5) exercise the chunk pipeline under injection.
 	Transfer core.TransferOptions
-	// Host, when non-nil, measures the run's host-side (wall-clock) cost.
-	// The Fingerprint deliberately contains no host-dependent data, so an
-	// instrumented chaos run fingerprints identically to a bare one — the
-	// determinism test relies on exactly that.
-	Host *hostprof.Profiler
 	// Spec overrides the cluster topology (nil = the default two-Cell +
 	// one-Xeon corner). The chaos traffic pins processes to nodes 0, 1 and
 	// 2, so the first two nodes must be Cell blades and a third node of any
@@ -63,23 +54,21 @@ type ChaosConfig struct {
 	// (the scenario DSL's lowered product). Seed still names the injector
 	// RNG seed; the plan's own Seed field is ignored.
 	Plan *fault.Plan
-	// Trace, when non-nil, records the run's events and transfer spans
-	// (observation is free in virtual time, so traced chaos runs keep
-	// bit-identical fingerprints).
-	Trace *trace.Recorder
+	// Observe, when non-nil, attaches observability sinks to the run's App
+	// during its configuration phase, through the App's Set* methods:
+	//
+	//	Observe: func(a *core.App) error { return a.SetTrace(rec) }
+	//
+	// It runs after the run's own meter is attached (see Chaos), so it may
+	// replace that meter. Sinks only read, and the Fingerprint holds no
+	// host-dependent data, so an observed chaos run fingerprints
+	// identically to a bare one.
+	Observe func(*core.App) error
 	// Stats, when non-nil, receives the application's post-run report.
-	// With Trace also attached it includes the critical-path blame
-	// decomposition (Stats.CritPath) and contention pairs.
+	// With a trace recorder attached through Observe it includes the
+	// critical-path blame decomposition (Stats.CritPath) and contention
+	// pairs.
 	Stats *core.Stats
-	// Timeline, when non-nil, records windowed time-series of the run's
-	// gauges and counters (backlog, utilization, fault counters). Like the
-	// other sinks it only reads, so a chaos run with a timeline attached
-	// keeps a bit-identical fingerprint.
-	Timeline *timeline.Recorder
-	// Flows, when non-nil, accumulates the run's flow observatory (traffic
-	// matrix, per-route aggregates, heavy hitters). Same zero-virtual-cost
-	// contract as the other sinks.
-	Flows *flowmap.Map
 }
 
 // ChaosSPEs lists the SPE stub process names a chaos run creates — the
@@ -212,11 +201,17 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	inj := fault.NewInjector(plan)
 	a := core.NewApp(clu, core.Options{Faults: inj, Transfer: cfg.Transfer})
-	a.Metrics = core.NewMeter()
-	a.HostProf = cfg.Host
-	a.Trace = cfg.Trace
-	a.Timeline = cfg.Timeline
-	a.Flows = cfg.Flows
+	// Every chaos run carries a meter: the fingerprint's metric lines are
+	// the fault/* counters of its registry, and Stats reads its
+	// histograms.
+	if err := a.SetMetrics(core.NewMeter()); err != nil {
+		return ChaosResult{}, err
+	}
+	if cfg.Observe != nil {
+		if err := cfg.Observe(a); err != nil {
+			return ChaosResult{}, err
+		}
+	}
 
 	res := ChaosResult{Config: ChaosResult_Config{
 		Seed: cfg.Seed, LossProb: cfg.LossProb, KillSPE: cfg.KillSPE, MailboxDrops: cfg.MailboxDrops,
@@ -272,6 +267,11 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 		}
 	}
+	// Fault diagnostics name the Try* call sites below by file and line
+	// ("PI_TryRead at chaos.go:281"), and the scenario goldens record
+	// those diagnostics. Moving these lines, or any code after them that
+	// a diagnostic can name, shifts the recorded locations and means
+	// re-recording scenarios/*.golden.
 	ctxWr := func(ctx *core.Ctx) (wr, wr) {
 		return func(ch *core.Channel, f string, args ...any) error { return ctx.TryWrite(ch, to, f, args...) },
 			func(ch *core.Channel, f string, args ...any) error { return ctx.TryRead(ch, to, f, args...) }

@@ -139,7 +139,7 @@ func TestChaosHostProfDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := hostprof.New(1)
-	cfg.Host = h
+	cfg.Observe = observeHost(h)
 	probed, err := Chaos(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestChaosHostProfDeterminism(t *testing.T) {
 	// regression-guard injection knob) must not move the virtual outcome.
 	burned := hostprof.New(1)
 	burned.BurnAllocBytes = 512
-	cfg.Host = burned
+	cfg.Observe = observeHost(burned)
 	slow, err := Chaos(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,8 @@ func tracedPingPong(t *testing.T, cfg PingPongConfig) core.Stats {
 	t.Helper()
 	var st core.Stats
 	cfg.Method = MethodCellPilot
-	cfg.Trace = trace.NewRecorder(0)
+	rec := trace.NewRecorder(0)
+	cfg.Observe = func(a *core.App) error { return a.SetTrace(rec) }
 	cfg.Stats = &st
 	if _, err := PingPong(cfg); err != nil {
 		t.Fatal(err)

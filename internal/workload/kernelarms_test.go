@@ -28,7 +28,13 @@ func chaosArmRun() (chaosArmResult, error) {
 	fl := flowmap.New(0)
 	r, err := Chaos(ChaosConfig{
 		Seed: 11, LossProb: 0.1, KillSPE: true, MailboxDrops: 3,
-		Stats: &st, Timeline: tl, Flows: fl,
+		Stats: &st,
+		Observe: func(a *core.App) error {
+			if err := a.SetTimeline(tl); err != nil {
+				return err
+			}
+			return a.SetFlows(fl)
+		},
 	})
 	if err != nil {
 		return chaosArmResult{}, err
@@ -60,23 +66,13 @@ func compareArms(t *testing.T, labelA, labelB string, a, b chaosArmResult) {
 // TestChaosKernelArmsDeterminism is the kernel-replacement acceptance
 // check at the workload layer: the reference chaos run must produce
 // bit-identical fingerprints, stats reports, timeline series and flow
-// tables under (1) the default calendar queue, (2) the original heap
-// queue, and (3) the sharded parallel driver with a concurrent neighbour
-// LP competing for host workers.
+// tables sequentially and under the sharded parallel driver with a
+// concurrent neighbour LP competing for host workers.
 func TestChaosKernelArmsDeterminism(t *testing.T) {
 	ref, err := chaosArmRun()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Arm: the retained heap queue must reproduce the calendar result.
-	prev := sim.SetDefaultQueueKind(sim.QueueHeap)
-	heap, err := chaosArmRun()
-	sim.SetDefaultQueueKind(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareArms(t, "calendar", "heap", ref, heap)
 
 	// Arm: the same run inside a 2-worker sharded fleet, racing a noisy
 	// neighbour replica for the worker tokens.

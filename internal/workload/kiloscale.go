@@ -125,7 +125,7 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 					Reps:         cfg.Reps,
 					LossProb:     0.05,
 					MailboxDrops: 2,
-					Host:         h,
+					Observe:      observeHost(h),
 					Spec:         spec,
 				})
 				if err != nil {
@@ -138,12 +138,12 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 			default:
 				typ := 1 + i%5 // cycle the five Table I channel types across the fleet
 				res, err := PingPong(PingPongConfig{
-					Type:   typ,
-					Bytes:  256,
-					Method: MethodCellPilot,
-					Reps:   cfg.Reps,
-					Host:   h,
-					Spec:   spec,
+					Type:    typ,
+					Bytes:   256,
+					Method:  MethodCellPilot,
+					Reps:    cfg.Reps,
+					Observe: observeHost(h),
+					Spec:    spec,
 				})
 				if err != nil {
 					return fmt.Errorf("replica %d: %w", i, err)

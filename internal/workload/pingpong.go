@@ -9,15 +9,11 @@ import (
 	"cellpilot/internal/cellbe"
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/core"
-	"cellpilot/internal/flowmap"
 	"cellpilot/internal/fmtmsg"
 	"cellpilot/internal/hostprof"
 	"cellpilot/internal/mpi"
-	"cellpilot/internal/profile"
 	"cellpilot/internal/sdk"
 	"cellpilot/internal/sim"
-	"cellpilot/internal/timeline"
-	"cellpilot/internal/trace"
 )
 
 // Method selects the transfer implementation, matching the paper's three
@@ -75,32 +71,29 @@ type PingPongConfig struct {
 	// time in order (MethodCellPilot only) — the raw samples behind the
 	// size-sweep's latency quantiles.
 	RoundTrips *[]sim.Time
-	// Trace, when non-nil, records the CellPilot run's events and transfer
-	// spans (MethodCellPilot only; observation is free in virtual time).
-	Trace *trace.Recorder
-	// Metrics, when non-nil, aggregates the CellPilot run's histograms.
-	Metrics *core.Meter
-	// Profile, when non-nil, attributes every process's virtual time into
-	// exclusive buckets (MethodCellPilot only).
-	Profile *profile.Profiler
-	// Host, when non-nil, measures the run's host-side (wall-clock) cost
-	// (MethodCellPilot only). It never perturbs the virtual timeline.
-	Host *hostprof.Profiler
-	// Timeline, when non-nil, records windowed time-series of the run's
-	// gauges and counters (MethodCellPilot only; observation is free in
-	// virtual time).
-	Timeline *timeline.Recorder
-	// Flows, when non-nil, accumulates the run's flow observatory
-	// (MethodCellPilot only; same zero-virtual-cost contract).
-	Flows *flowmap.Map
+	// Observe, when non-nil, attaches observability sinks to the CellPilot
+	// run's App during its configuration phase, through the App's Set*
+	// methods (MethodCellPilot only). Sinks observe at zero virtual-time
+	// cost.
+	Observe func(*core.App) error
 	// Stats, when non-nil, receives the application's post-run report
-	// (MethodCellPilot only). With Trace also attached it includes the
-	// critical-path blame decomposition (Stats.CritPath).
+	// (MethodCellPilot only). With a trace recorder attached through
+	// Observe it includes the critical-path blame decomposition
+	// (Stats.CritPath).
 	Stats *core.Stats
 	// Spec overrides the simulated cluster (nil = the paper's two-Cell +
 	// one-Xeon corner). The five-type grid pins its endpoints to nodes 0
 	// and 1, so at least two Cell nodes are required; extra nodes idle.
 	Spec *cluster.Spec
+}
+
+// observeHost returns an Observe hook attaching the host profiler h, or
+// nil when h is nil.
+func observeHost(h *hostprof.Profiler) func(*core.App) error {
+	if h == nil {
+		return nil
+	}
+	return func(a *core.App) error { return a.SetHostProf(h) }
 }
 
 // Result is a measured Table II cell.
@@ -243,12 +236,11 @@ func pingPongCellPilot(cfg PingPongConfig) (sim.Time, error) {
 		return 0, err
 	}
 	a := core.NewApp(c, core.Options{CoPilotDirectLocal: cfg.DirectLocal, Transfer: cfg.Transfer})
-	a.Trace = cfg.Trace
-	a.Metrics = cfg.Metrics
-	a.Profile = cfg.Profile
-	a.HostProf = cfg.Host
-	a.Timeline = cfg.Timeline
-	a.Flows = cfg.Flows
+	if cfg.Observe != nil {
+		if err := cfg.Observe(a); err != nil {
+			return 0, err
+		}
+	}
 	format, mk, rd := payloadFormat(cfg.Bytes)
 
 	var ab, ba *core.Channel

@@ -81,7 +81,7 @@ func SizeSweep(cfg SizeSweepConfig) ([]SizeSweepPoint, error) {
 			for _, chunked := range []bool{false, true} {
 				pp := PingPongConfig{
 					Type: typ, Bytes: bytes, Method: MethodCellPilot, Reps: cfg.Reps,
-					Host: cfg.Host, Spec: cfg.Spec,
+					Observe: observeHost(cfg.Host), Spec: cfg.Spec,
 				}
 				if chunked {
 					pp.Transfer = cfg.Transfer
