@@ -82,10 +82,11 @@ ci-flows:
 .PHONY: ci-flows
 
 # Kernel microbenchmarks: calendar-queue push/pop, steady-state churn and
-# the arm/cancel/purge path, plus the allocation-free dispatch/handoff
-# paths (-benchmem makes a pooling regression visible as allocs/op).
+# the arm/cancel/purge path, the allocation-free dispatch/handoff paths,
+# the proc coroutine switch and a proc's whole spawn-to-exit lifecycle
+# (-benchmem makes a pooling regression visible as allocs/op).
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancelPurge|EventThroughput|QueueHandoff' -benchmem ./internal/sim/
+	$(GO) test -run '^$$' -bench 'HeapPushPop|QueueChurn|TimerCancelPurge|EventThroughput|QueueHandoff|ContextSwitch|EventDispatch|Spawn' -benchmem ./internal/sim/
 .PHONY: bench-kernel
 
 # Parallel-kernel gate: the sharded runtime's determinism suites under
@@ -133,7 +134,7 @@ bench-host:
 ci-host:
 	$(GO) test ./internal/hostprof/ ./internal/hostbench/ ./cmd/cellpilot-bench/
 	$(GO) test -run 'HostProf|ObservabilityZeroCost' ./internal/workload/ ./internal/core/
-	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|EventDispatch' -benchtime 100000x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|EventDispatch|ContextSwitch' -benchtime 100000x ./internal/sim/
 	$(GO) run ./cmd/cellpilot-bench -exp guard -reps 200 -iters 2
 .PHONY: ci-host
 

@@ -578,7 +578,10 @@ func runHostGuard(baselinePath string, iters int, tolerance float64, gateWall bo
 	}
 	// -tolerance scales the per-metric floors: 0.10 (the default) keeps
 	// them as designed, 0.20 doubles every band.
-	rep := hostbench.Guard(base, cur, hostbench.GuardOptions{FloorScale: tolerance / 0.10, GateWall: gateWall})
+	rep, err := hostbench.Guard(base, cur, hostbench.GuardOptions{FloorScale: tolerance / 0.10, GateWall: gateWall})
+	if err != nil {
+		log.Fatalf("host guard: %v", err)
+	}
 	fmt.Print(hostbench.FormatGuard(rep))
 	if regs := rep.Regressions(); len(regs) > 0 {
 		log.Fatalf("host guard: %d host metric(s) regressed (blame: %s)", len(regs), regs[0].Blame)

@@ -185,8 +185,16 @@ func (r Report) Regressions() []Delta {
 	return out
 }
 
-// Guard compares a current run against a committed baseline.
-func Guard(base, now File, opts GuardOptions) Report {
+// Guard compares a current run against a committed baseline. It refuses,
+// with an error, when the two runs saw a different CPU count or GOMAXPROCS:
+// host cost per event moves with both, so such a comparison is not like
+// with like.
+func Guard(base, now File, opts GuardOptions) (Report, error) {
+	b, n := base.Env, now.Env
+	if b.NumCPU != n.NumCPU || b.GOMAXPROCS != n.GOMAXPROCS {
+		return Report{}, fmt.Errorf("baseline recorded with num_cpu=%d gomaxprocs=%d, this run has num_cpu=%d gomaxprocs=%d; re-record the baseline on this host with 'make bench-host'",
+			b.NumCPU, b.GOMAXPROCS, n.NumCPU, n.GOMAXPROCS)
+	}
 	opts = opts.withDefaults()
 	var rep Report
 	baseByName := map[string]SuiteResult{}
@@ -235,7 +243,7 @@ func Guard(base, now File, opts GuardOptions) Report {
 			rep.Missing = append(rep.Missing, bs.Name+" (not in current run)")
 		}
 	}
-	return rep
+	return rep, nil
 }
 
 // blameSubsys names the subsystem whose share of the suite's host time

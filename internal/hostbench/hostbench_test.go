@@ -1,6 +1,7 @@
 package hostbench
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -53,9 +54,47 @@ func syntheticFile(name string, allocs []float64, shares map[string]float64) Fil
 	return File{Schema: Schema, Iterations: len(allocs), Env: CaptureEnv(), Suites: []SuiteResult{sr}}
 }
 
+// mustGuard is Guard for runs captured on the same host, which it must
+// never refuse.
+func mustGuard(t *testing.T, base, now File, opts GuardOptions) Report {
+	t.Helper()
+	rep, err := Guard(base, now, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestGuardRefusesEnvMismatch: a baseline from a host with a different CPU
+// count or GOMAXPROCS is refused, naming both values and the fix.
+func TestGuardRefusesEnvMismatch(t *testing.T) {
+	f := syntheticFile("pp", []float64{10, 10, 10}, nil)
+	for _, mutate := range []func(*Env){
+		func(e *Env) { e.NumCPU++ },
+		func(e *Env) { e.GOMAXPROCS++ },
+	} {
+		base := f
+		mutate(&base.Env)
+		_, err := Guard(base, f, GuardOptions{})
+		if err == nil {
+			t.Fatalf("baseline env %+v vs %+v compared, want refusal", base.Env, f.Env)
+		}
+		msg := err.Error()
+		for _, want := range []string{
+			fmt.Sprintf("num_cpu=%d gomaxprocs=%d", base.Env.NumCPU, base.Env.GOMAXPROCS),
+			fmt.Sprintf("num_cpu=%d gomaxprocs=%d", f.Env.NumCPU, f.Env.GOMAXPROCS),
+			"make bench-host",
+		} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("refusal %q does not mention %q", msg, want)
+			}
+		}
+	}
+}
+
 func TestGuardIdenticalFilesPass(t *testing.T) {
 	f := syntheticFile("pp", []float64{10, 10.2, 9.8}, map[string]float64{"kernel": 0.6, "mpi": 0.4})
-	rep := Guard(f, f, GuardOptions{})
+	rep := mustGuard(t, f, f, GuardOptions{})
 	if regs := rep.Regressions(); len(regs) != 0 {
 		t.Fatalf("identical files regressed: %+v", regs)
 	}
@@ -67,7 +106,7 @@ func TestGuardIdenticalFilesPass(t *testing.T) {
 func TestGuardFlagsAllocGrowthWithBlame(t *testing.T) {
 	base := syntheticFile("pp", []float64{10, 10.1, 9.9}, map[string]float64{"kernel": 0.5, "mpi": 0.5})
 	now := syntheticFile("pp", []float64{15, 15.2, 14.9}, map[string]float64{"kernel": 0.8, "mpi": 0.2})
-	rep := Guard(base, now, GuardOptions{})
+	rep := mustGuard(t, base, now, GuardOptions{})
 	var hit *Delta
 	for i, d := range rep.Deltas {
 		if d.Metric == MetricAllocsPerEvent && d.Regressed {
@@ -90,7 +129,7 @@ func TestGuardDirectionAware(t *testing.T) {
 	base := syntheticFile("pp", []float64{10, 10, 10}, nil)
 	// Improvement: allocs/event halves. Must not trip.
 	now := syntheticFile("pp", []float64{5, 5, 5}, nil)
-	if regs := Guard(base, now, GuardOptions{}).Regressions(); len(regs) != 0 {
+	if regs := mustGuard(t, base, now, GuardOptions{}).Regressions(); len(regs) != 0 {
 		t.Errorf("improvement tripped guard: %+v", regs)
 	}
 	// events/sec dropping far below band must trip — but only fail the
@@ -100,7 +139,7 @@ func TestGuardDirectionAware(t *testing.T) {
 	for i := range slow.Suites[0].Iters {
 		slow.Suites[0].Iters[i].EventsPerSec = 100 // was 1000
 	}
-	rep := Guard(base, slow, GuardOptions{GateWall: true})
+	rep := mustGuard(t, base, slow, GuardOptions{GateWall: true})
 	found := false
 	for _, d := range rep.Regressions() {
 		if d.Metric == MetricEventsPerSec {
@@ -110,7 +149,7 @@ func TestGuardDirectionAware(t *testing.T) {
 	if !found {
 		t.Errorf("10x events/sec drop not flagged with GateWall: %+v", rep.Deltas)
 	}
-	advisory := Guard(base, slow, GuardOptions{})
+	advisory := mustGuard(t, base, slow, GuardOptions{})
 	if len(advisory.Regressions()) != 0 {
 		t.Errorf("advisory wall metric failed the gate: %+v", advisory.Regressions())
 	}
@@ -129,11 +168,11 @@ func TestGuardFloorScale(t *testing.T) {
 	base := syntheticFile("pp", []float64{10, 10, 10}, nil)
 	now := syntheticFile("pp", []float64{11.5, 11.5, 11.5}, nil) // +15%
 	// Default floor 10%: trips.
-	if len(Guard(base, now, GuardOptions{}).Regressions()) == 0 {
+	if len(mustGuard(t, base, now, GuardOptions{}).Regressions()) == 0 {
 		t.Error("+15%% allocs/event not flagged at default floor")
 	}
 	// Doubled floors (20%): passes.
-	if regs := Guard(base, now, GuardOptions{FloorScale: 2}).Regressions(); len(regs) != 0 {
+	if regs := mustGuard(t, base, now, GuardOptions{FloorScale: 2}).Regressions(); len(regs) != 0 {
 		t.Errorf("+15%% flagged with FloorScale 2: %+v", regs)
 	}
 }
@@ -142,7 +181,7 @@ func TestGuardMADWidensBand(t *testing.T) {
 	// Noisy baseline: allocs median 10, MAD 2 -> band 5*2/10 = 100%.
 	base := syntheticFile("pp", []float64{8, 10, 12, 7, 13}, nil)
 	now := syntheticFile("pp", []float64{15, 15, 15}, nil) // +50%, inside noise
-	if regs := Guard(base, now, GuardOptions{}).Regressions(); len(regs) != 0 {
+	if regs := mustGuard(t, base, now, GuardOptions{}).Regressions(); len(regs) != 0 {
 		t.Errorf("movement within baseline noise flagged: %+v", regs)
 	}
 }
@@ -160,7 +199,7 @@ func TestGuardRangeWidensBand(t *testing.T) {
 	for i := range now.Suites[0].Iters {
 		now.Suites[0].Iters[i].WallNs = 5000 // 5x the baseline median
 	}
-	for _, d := range Guard(base, now, GuardOptions{GateWall: true}).Regressions() {
+	for _, d := range mustGuard(t, base, now, GuardOptions{GateWall: true}).Regressions() {
 		if d.Metric == MetricWallNs {
 			t.Errorf("wall time within the baseline's own range flagged: %+v", d)
 		}
@@ -170,7 +209,7 @@ func TestGuardRangeWidensBand(t *testing.T) {
 func TestGuardMissingSuites(t *testing.T) {
 	base := syntheticFile("old", []float64{10}, nil)
 	now := syntheticFile("new", []float64{10}, nil)
-	rep := Guard(base, now, GuardOptions{})
+	rep := mustGuard(t, base, now, GuardOptions{})
 	if len(rep.Missing) != 2 {
 		t.Fatalf("Missing = %v, want both directions reported", rep.Missing)
 	}
@@ -275,7 +314,7 @@ func TestGuardCatchesInjectedAllocs(t *testing.T) {
 	if b, s := base.Suites[0].Iters[0].VirtualUs, slow.Suites[0].Iters[0].VirtualUs; b != s {
 		t.Fatalf("burn changed virtual time: %v -> %v", b, s)
 	}
-	rep := Guard(base, slow, GuardOptions{})
+	rep := mustGuard(t, base, slow, GuardOptions{})
 	var hit *Delta
 	for i, d := range rep.Deltas {
 		if d.Metric == MetricAllocsPerEvent && d.Regressed {

@@ -38,8 +38,9 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkContextSwitch measures the goroutine ping-pong cost of the
-// cooperative scheduler with many procs at one timestamp.
+// BenchmarkContextSwitch measures one proc coroutine switch — a yield back
+// to the scheduler and its resume of the next proc — with many procs
+// parked at one timestamp.
 func BenchmarkContextSwitch(b *testing.B) {
 	k := NewKernel(1)
 	const procs = 64
@@ -51,6 +52,24 @@ func BenchmarkContextSwitch(b *testing.B) {
 			}
 		})
 	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn measures a proc's whole lifecycle — Spawn, first
+// activation, exit — so allocs/op is the allocation cost of one proc. A
+// parent spawns one child per iteration and yields so the child runs to
+// completion first, keeping at most two procs live.
+func BenchmarkSpawn(b *testing.B) {
+	k := NewKernel(1)
+	k.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			k.Spawn("child", func(*Proc) {})
+			p.Yield()
+		}
+	})
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

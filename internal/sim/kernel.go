@@ -1,22 +1,27 @@
+//go:build go1.23
+
+// The constraint lets this file call iter.Pull while go.mod stays at go
+// 1.22, which perfbench/go.mod pins: raising it here breaks that build.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
 )
 
-// Kernel owns the virtual clock, the event queue and all procs. All kernel
-// state is confined by the execution protocol: exactly one goroutine (the
-// scheduler or the single running proc) touches it at a time, so no locks
-// are needed and runs are deterministic.
+// Kernel owns the virtual clock, the event queue and all procs. Each proc
+// is a coroutine the scheduler resumes and the proc yields back from, so
+// exactly one of them (the scheduler or the single running proc) executes
+// at a time: no locks are needed and runs are deterministic.
 type Kernel struct {
 	now   Time
 	seq   uint64
 	pq    *calQueue
-	free  []*event      // recycled event objects, never shared across kernels
-	ctl   chan struct{} // running proc -> scheduler: "I parked or exited"
+	free  []*event // recycled event objects, never shared across kernels
 	rng   *rand.Rand
 	trac  Tracer
 	host  HostProbe // wall-clock instrumentation; nil disables
@@ -77,7 +82,6 @@ type HostProbe interface {
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		pq:    newCalQueue(),
-		ctl:   make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		grant: Forever,
 	}
@@ -149,15 +153,14 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAfter is Spawn with an initial activation delay.
 func (k *Kernel) SpawnAfter(name string, delay Time, fn func(p *Proc)) *Proc {
 	k.nextID++
-	p := &Proc{
-		k:    k,
-		id:   k.nextID,
-		name: name,
-		wake: make(chan struct{}),
-	}
+	p := &Proc{k: k, id: k.nextID, name: name}
+	// drain runs every coroutine to completion, so stop is never needed.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	k.procs = append(k.procs, p)
 	k.live++
-	go p.run(fn)
 	k.schedule(k.now+delay, p, nil)
 	return p
 }
@@ -293,7 +296,7 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	return nil
 }
 
-// resume hands control to p and blocks until p parks or exits. A wake
+// resume runs p's coroutine until p parks or exits. A wake
 // event whose epoch no longer matches (the proc was woken by something
 // else and re-parked, or already finished) is stale and skipped.
 func (k *Kernel) resume(p *Proc) {
@@ -306,21 +309,21 @@ func (k *Kernel) resume(p *Proc) {
 	if k.host != nil {
 		k.host.SliceStart(p.id)
 	}
-	p.wake <- struct{}{}
-	<-k.ctl
+	p.next()
 	if k.host != nil {
 		k.host.SliceEnd(p.id)
 	}
 	k.running = nil
 }
 
-// drain unwinds every parked proc after shutdown so no goroutines leak.
+// drain runs every unfinished proc to completion after shutdown, even one
+// never activated, so no coroutine leaks.
 func (k *Kernel) drain() {
 	for {
 		progressed := false
 		for _, p := range k.procs {
-			if p.state == procParked || p.state == procReady {
-				k.resume(p) // park() observes shutdown and panics out
+			if p.state != procDone {
+				k.resume(p)
 				progressed = true
 			}
 		}

@@ -3,8 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestAdvanceOrdering(t *testing.T) {
@@ -196,5 +198,94 @@ func TestPanicInProcAborts(t *testing.T) {
 	}
 	if k.Live() != 0 {
 		t.Fatalf("live = %d after panic abort", k.Live())
+	}
+}
+
+// TestRunLeavesNoGoroutines: however a run ends, every proc is driven to
+// completion, so the host goroutine count returns to where it started.
+// The aborted runs each hold a proc whose first activation never came.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	late := func(k *Kernel) { k.SpawnAfter("late", Second, func(*Proc) {}) }
+	cases := []struct {
+		name    string
+		wantErr bool
+		run     func() error
+	}{
+		{"normal", false, func() error {
+			k := NewKernel(1)
+			k.Spawn("a", func(p *Proc) { p.Advance(Microsecond) })
+			return k.Run()
+		}},
+		{"abort", true, func() error {
+			k := NewKernel(1)
+			late(k)
+			k.Spawn("a", func(p *Proc) { p.Advance(Millisecond) })
+			k.After(Microsecond, func() { k.Abort(errors.New("stop")) })
+			return k.Run()
+		}},
+		{"fatalf", true, func() error {
+			k := NewKernel(1)
+			late(k)
+			k.Spawn("a", func(p *Proc) { p.Fatalf("boom") })
+			return k.Run()
+		}},
+		{"panic", true, func() error {
+			k := NewKernel(1)
+			late(k)
+			k.Spawn("a", func(p *Proc) { panic("boom") })
+			return k.Run()
+		}},
+		{"kill", false, func() error {
+			k := NewKernel(1)
+			q := NewQueue[int](k, "never", 1)
+			victim := k.Spawn("victim", func(p *Proc) { q.Get(p) })
+			k.After(Microsecond, victim.Kill)
+			return k.Run()
+		}},
+		{"deadlock", true, func() error {
+			k := NewKernel(1)
+			q := NewQueue[int](k, "never", 1)
+			k.Spawn("a", func(p *Proc) { q.Get(p) })
+			return k.Run()
+		}},
+		{"sharded-stopped", true, func() error {
+			s := NewSharded(2)
+			bad := s.AddLP("bad", func(lp *LP) error {
+				k := NewKernel(1)
+				lp.Attach(k)
+				late(k)
+				k.Spawn("fail", func(p *Proc) {
+					p.Advance(Microsecond)
+					p.Fatalf("boom")
+				})
+				return k.Run()
+			})
+			waiter := s.AddLP("waiter", func(lp *LP) error {
+				k := NewKernel(2)
+				lp.Attach(k)
+				late(k)
+				q := NewQueue[int](k, "never", 1)
+				k.Spawn("wait", func(p *Proc) { q.Get(p) })
+				return k.Run()
+			})
+			s.Link(bad, waiter, Microsecond)
+			s.Link(waiter, bad, Microsecond)
+			return s.Run()
+		}},
+	}
+	for _, c := range cases {
+		base := runtime.NumGoroutine()
+		if err := c.run(); (err != nil) != c.wantErr {
+			t.Errorf("%s: Run error = %v, want error: %v", c.name, err, c.wantErr)
+		}
+		// Goroutines that are exiting (Sharded workers, here or in an
+		// earlier test) may take a moment to be reaped; leaked ones never
+		// are.
+		for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines after the run, %d before", c.name, n, base)
+		}
 	}
 }

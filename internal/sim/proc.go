@@ -16,14 +16,15 @@ const (
 	procDone
 )
 
-// Proc is a simulated thread of control. A proc's body runs on its own
-// goroutine but the kernel guarantees only one proc executes at a time;
-// between kernel primitives a proc runs instantaneously in virtual time.
+// Proc is a simulated thread of control: a coroutine the kernel resumes
+// and that yields back whenever it blocks, so only one proc executes at a
+// time. Between kernel primitives a proc runs instantaneously in virtual time.
 type Proc struct {
 	k          *Kernel
 	id         int
 	name       string
-	wake       chan struct{}
+	next       func() (struct{}, bool) // resumes the proc until it parks or exits
+	yield      func(struct{}) bool     // hands control back to the kernel
 	state      procState
 	waitReason string
 	// waitTarget qualifies waitReason for Advance parks ("advancing to
@@ -51,8 +52,8 @@ type shutdownSentinel struct{}
 // does not abort the simulation — the other procs keep running.
 type killSentinel struct{}
 
+// run is the coroutine body; its recover keeps every panic inside it.
 func (p *Proc) run(fn func(p *Proc)) {
-	<-p.wake // first activation, scheduled by Spawn
 	defer func() {
 		p.state = procDone
 		p.k.live--
@@ -65,7 +66,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 				p.k.Abort(fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack()))
 			}
 		}
-		p.k.ctl <- struct{}{}
 	}()
 	if p.k.shutdown || p.killed {
 		return
@@ -105,8 +105,8 @@ func (p *Proc) readyCB() func() {
 	return p.readySelf
 }
 
-// checkRunning panics if a kernel primitive is invoked from a goroutine
-// other than the currently running proc — the classic way to corrupt a
+// checkRunning panics if a kernel primitive is invoked on a proc other
+// than the currently running one — the classic way to corrupt a
 // cooperative simulation.
 func (p *Proc) checkRunning() {
 	if p.k.running != p {
@@ -118,12 +118,18 @@ func (p *Proc) checkRunning() {
 // surfaced in deadlock reports.
 func (p *Proc) park(reason string) {
 	p.checkRunning()
+	p.suspend(reason, 0)
+}
+
+// suspend parks the proc, yields to the kernel and, once resumed, unwinds
+// the proc's stack if the kernel is shutting down (or the coroutine was
+// stopped) or the proc was killed.
+func (p *Proc) suspend(reason string, target Time) {
 	p.state = procParked
-	p.waitReason = reason
-	p.k.ctl <- struct{}{}
-	<-p.wake
-	p.waitReason = ""
-	if p.k.shutdown {
+	p.waitReason, p.waitTarget = reason, target
+	ok := p.yield(struct{}{})
+	p.waitReason, p.waitTarget = "", 0
+	if !ok || p.k.shutdown {
 		panic(shutdownSentinel{})
 	}
 	if p.killed {
@@ -148,20 +154,8 @@ func (p *Proc) Advance(d Time) {
 	target := p.k.now + d
 	for p.k.now < target || d == 0 {
 		d = -1 // a zero advance still yields exactly once
-		p.state = procParked
-		p.waitReason = "advancing"
-		p.waitTarget = target
 		p.k.schedule(target, p, nil)
-		p.k.ctl <- struct{}{}
-		<-p.wake
-		p.waitReason = ""
-		p.waitTarget = 0
-		if p.k.shutdown {
-			panic(shutdownSentinel{})
-		}
-		if p.killed {
-			panic(killSentinel{})
-		}
+		p.suspend("advancing", target)
 	}
 }
 

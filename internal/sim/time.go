@@ -1,10 +1,10 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated entities run as goroutines ("procs"), but the kernel enforces
-// cooperative, one-at-a-time execution: exactly one proc (or the kernel
-// scheduler itself) is runnable at any instant, so simulated code needs no
-// locking and every run of the same program is bit-for-bit deterministic.
+// Simulated entities ("procs") run as coroutines the scheduler resumes,
+// so exactly one proc (or the scheduler itself) runs at any instant:
+// simulated code needs no locking and every run of the same program is
+// bit-for-bit deterministic.
 // Time is virtual: it only advances when procs block on a kernel primitive
 // (Advance, queue operations, semaphores, events, resources).
 //
