@@ -1,8 +1,9 @@
 # Standard-library Go only; everything runs offline.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test vet race bench ci
+.PHONY: build test vet race bench fmt ci
 
 build:
 	$(GO) build ./...
@@ -19,8 +20,14 @@ race:
 bench:
 	$(GO) test -bench . -benchmem
 
+# Formatting gate: fails, listing the files, when gofmt would change any.
+fmt:
+	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; \
+	fi
+
 # Tier-1 gate: what must stay green on every change.
-ci: build vet test
+ci: fmt build vet test
 
 # Robustness gate: the seeded chaos suite (fault injection, degradation,
 # determinism) plus a short fuzz smoke of the format parser.

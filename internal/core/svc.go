@@ -78,9 +78,7 @@ func (s *svcState) loop(p *sim.Proc) {
 				// each timeout fault carries this cycle as its diagnostic
 				// (the wait graph keeps the cycle until then).
 				if s.app.opts.OpTimeout > 0 {
-					if inj := s.app.opts.Faults; inj != nil {
-						inj.Logf(s.app.K.Now(), "deadlock detected, degrading via timeouts: %v", cyc)
-					}
+					s.app.opts.Faults.Logf(s.app.K.Now(), "deadlock detected, degrading via timeouts: %v", cyc)
 					continue
 				}
 				s.app.K.Abort(cyc)

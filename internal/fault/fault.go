@@ -281,8 +281,12 @@ func (in *Injector) MailboxVerdict(proc string) (drop bool, stall sim.Time) {
 	return false, 0
 }
 
-// Logf appends one timestamped line to the fault log.
+// Logf appends one timestamped line to the fault log. A nil injector
+// (a run without a fault plan) logs nothing.
 func (in *Injector) Logf(at sim.Time, format string, args ...any) {
+	if in == nil {
+		return
+	}
 	in.log = append(in.log, fmt.Sprintf("[%12s] %s", at, fmt.Sprintf(format, args...)))
 }
 

@@ -94,11 +94,11 @@ func TestFlowValidationErrors(t *testing.T) {
 func TestFlowChecksPassAndFail(t *testing.T) {
 	s := flowScenario()
 	s.Assertions = []Assertion{
-		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, MinBytes: 1},                         // traffic flowed: passes
-		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, TopOf: "copilot@cell1"},              // type 5 dominates cell1: passes
-		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, MaxBytes: 1},                         // way over: fails
-		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, MinBytes: 1 << 40},                   // unreachable: fails
-		{Kind: AssertFlow, Route: flowmap.RouteSPEtoSPE, TopOf: "copilot@cell1"},                 // type 4 never crosses cell1: fails
+		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, MinBytes: 1},                           // traffic flowed: passes
+		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, TopOf: "copilot@cell1"},                // type 5 dominates cell1: passes
+		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, MaxBytes: 1},                           // way over: fails
+		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, MinBytes: 1 << 40},                     // unreachable: fails
+		{Kind: AssertFlow, Route: flowmap.RouteSPEtoSPE, TopOf: "copilot@cell1"},                   // type 4 never crosses cell1: fails
 		{Kind: AssertFlow, Route: flowmap.RouteSPEtoRemSPE, TopOf: "copilot@nowhere", MinBytes: 1}, // no such resource: fails
 	}
 	if err := s.Validate(); err != nil {

@@ -144,13 +144,13 @@ func TestTemporalValidationErrors(t *testing.T) {
 func TestTemporalChecksPassAndFail(t *testing.T) {
 	s := azScenario()
 	s.Assertions = []Assertion{
-		{Kind: AssertRecoveryWithin, MaxRecovery: 2 * sim.Millisecond},                         // 900µs: passes
-		{Kind: AssertPeakBacklog, MaxBacklog: 6, MinBacklog: 2},                                // peak 3: passes
+		{Kind: AssertRecoveryWithin, MaxRecovery: 2 * sim.Millisecond},                                         // 900µs: passes
+		{Kind: AssertPeakBacklog, MaxBacklog: 6, MinBacklog: 2},                                                // peak 3: passes
 		{Kind: AssertWindow, Series: "copilot/copilot@cell0/utilization", To: 2 * sim.Millisecond, MinPeak: 1}, // hot pre-crash: passes
-		{Kind: AssertRecoveryWithin, MaxRecovery: 100 * sim.Microsecond},                       // too tight: fails
-		{Kind: AssertRecoveryWithin, Series: "backlog/type1", MaxRecovery: sim.Second},         // never drains: fails
-		{Kind: AssertPeakBacklog, Type: 2, MinBacklog: 1, MaxBacklog: 5},                       // type 2 never queued: fails
-		{Kind: AssertWindow, Series: "backlog/total", MaxValue: 0.5},                           // backlog exists: fails
+		{Kind: AssertRecoveryWithin, MaxRecovery: 100 * sim.Microsecond},                                       // too tight: fails
+		{Kind: AssertRecoveryWithin, Series: "backlog/type1", MaxRecovery: sim.Second},                         // never drains: fails
+		{Kind: AssertPeakBacklog, Type: 2, MinBacklog: 1, MaxBacklog: 5},                                       // type 2 never queued: fails
+		{Kind: AssertWindow, Series: "backlog/total", MaxValue: 0.5},                                           // backlog exists: fails
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
