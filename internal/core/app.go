@@ -103,6 +103,7 @@ type App struct {
 
 	// Fault-layer state (see fault.go); all empty in clean runs.
 	chanWaiters        map[int][]*sim.Proc
+	poisoned           bool // a channel was poisoned: Co-Pilots shed requests
 	faults             []*ChannelFault
 	killed             []string
 	opTimeouts         int64
@@ -338,6 +339,12 @@ func (a *App) CreateChannel(from, to *Process) *Channel {
 		panic(usageError(loc, "PI_CreateChannel", "%s cannot be both endpoints", from))
 	}
 	ch := &Channel{app: a, id: len(a.chans), From: from, To: to, typ: resolveType(from, to)}
+	ch.stop = func() error {
+		if ch.fault != nil {
+			return ch.fault
+		}
+		return nil
+	}
 	a.chans = append(a.chans, ch)
 	return ch
 }

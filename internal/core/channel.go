@@ -68,6 +68,9 @@ type Channel struct {
 	// App.failChannel when an endpoint or its Co-Pilot dies, or when a
 	// hard-deadline operation dies mid-protocol).
 	fault *ChannelFault
+	// stop is the stop check bounded operations on the channel pass down
+	// (see App.opCtl): it returns fault once the channel is poisoned.
+	stop func() error
 
 	// flow caches the channel's flow classification (key + hop lists),
 	// computed lazily at first delivery (flow.go). Nil until then.
