@@ -97,12 +97,12 @@ bench-kernel:
 .PHONY: bench-kernel
 
 # Parallel-kernel gate: the sharded runtime's determinism suites under
-# the race detector — the sim-layer LP protocol tests, the calendar queue
-# against its heap oracle, the kernel dispatch-trace golden, the
-# kiloscale seq-vs-par fingerprint equivalence, and the scenario fleet
-# driven through the sharded runtime.
+# the race detector — the sim-layer worker-pool tests and goroutine-leak
+# check, the calendar queue against its heap oracle, the kernel
+# dispatch-trace golden, the kiloscale seq-vs-par fingerprint
+# equivalence, and the scenario fleet driven through the sharded runtime.
 ci-parallel:
-	$(GO) test -race -run 'TestSharded|TestQueueDifferential|TestKernelDispatchTraceGolden|TestCancelCompaction' ./internal/sim/
+	$(GO) test -race -run 'TestSharded|TestRunLeavesNoGoroutines|TestQueueDifferential|TestKernelDispatchTraceGolden|TestCancelCompaction' ./internal/sim/
 	$(GO) test -race -run 'Kiloscale|KernelArms' ./internal/workload/
 	$(GO) test -race -run 'TestScenarioFleet' ./internal/scenario/
 .PHONY: ci-parallel

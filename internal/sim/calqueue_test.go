@@ -102,7 +102,7 @@ func evKey(ev *event) string {
 	if ev == nil {
 		return "<nil>"
 	}
-	return fmt.Sprintf("%d/%d/%d", ev.at, ev.src, ev.seq)
+	return fmt.Sprintf("%d/%d", ev.at, ev.seq)
 }
 
 // runDifferential feeds the identical operation stream to a calendar
@@ -134,12 +134,8 @@ func runDifferential(t *testing.T, rng *rand.Rand, ops int) {
 					at += Time(rng.Int63n(int64(3600 * Second)))
 				}
 			}
-			src := localSrc
-			if rng.Intn(4) == 0 {
-				src = int32(rng.Intn(3))
-			}
-			ce := &event{at: at, seq: seq, src: src}
-			he := &event{at: at, seq: seq, src: src}
+			ce := &event{at: at, seq: seq}
+			he := &event{at: at, seq: seq}
 			cal.push(ce)
 			hp.push(he)
 			calLive = append(calLive, ce)

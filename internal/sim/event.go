@@ -5,12 +5,6 @@ package sim
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: insertion order, for determinism
-	// src identifies where the event came from: localSrc for everything a
-	// kernel schedules itself, or the sending LP's id for a cross-shard
-	// message delivered by a Sharded run. It participates in the total
-	// order (see eventLess) so message execution order is independent of
-	// when the conservative protocol happened to integrate the message.
-	src int32
 	// gen is the pool generation. It increments every time the event
 	// object is recycled, so a stale Timer handle (cancelled after its
 	// timer fired and the event was reused) can detect it points at a
@@ -27,21 +21,11 @@ type event struct {
 	cancelled bool
 }
 
-// localSrc is the src of every locally scheduled event. It sorts before
-// any cross-shard message source, so at equal timestamps local events run
-// first and messages run in (sender id, sender seq) order.
-const localSrc int32 = -1
-
-// eventLess is the kernel's total order: timestamp, then source, then
-// per-source sequence number. For a plain sequential kernel every event
-// has src == localSrc, so the order reduces to the original (at, seq)
-// pair and existing determinism fingerprints are unchanged.
+// eventLess is the kernel's total order: timestamp, then insertion
+// sequence number.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
 	}
 	return a.seq < b.seq
 }
@@ -85,7 +69,7 @@ func (k *Kernel) schedule(at Time, p *Proc, fn func()) *event {
 	}
 	k.seq++
 	ev := k.newEvent()
-	ev.at, ev.seq, ev.src, ev.p, ev.fn = at, k.seq, localSrc, p, fn
+	ev.at, ev.seq, ev.p, ev.fn = at, k.seq, p, fn
 	if p != nil {
 		ev.epoch = p.epoch
 	}
@@ -94,23 +78,6 @@ func (k *Kernel) schedule(at Time, p *Proc, fn func()) *event {
 		k.host.HeapPush(k.pq.Len())
 	}
 	return ev
-}
-
-// scheduleMessage inserts a cross-shard message delivered at `at`, keyed
-// by the sending LP's identity so execution order does not depend on when
-// the conservative protocol integrated it. The safe-time protocol
-// guarantees messages are integrated before the local clock reaches their
-// delivery time; a violation is a protocol bug, not a recoverable state.
-func (k *Kernel) scheduleMessage(at Time, src int32, seq uint64, fn func()) {
-	if at < k.now {
-		panic("sim: cross-shard message delivered in the local past (lookahead protocol violated)")
-	}
-	ev := k.newEvent()
-	ev.at, ev.seq, ev.src, ev.fn = at, seq, src, fn
-	k.pq.Push(ev)
-	if k.host != nil {
-		k.host.HeapPush(k.pq.Len())
-	}
 }
 
 // After schedules fn to run inside the scheduler after delay d. It must be

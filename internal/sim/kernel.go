@@ -31,13 +31,6 @@ type Kernel struct {
 	// they outnumber half the live entries the queue is compacted.
 	nCancelled int
 
-	// gov/grant attach this kernel to a Sharded run as one logical
-	// process. grant is the safe-time horizon: events strictly below it
-	// may dispatch without coordination. A detached kernel has grant ==
-	// Forever, so the gate costs one comparison on the hot path.
-	gov   *LP
-	grant Time
-
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
 	running  *Proc
@@ -81,9 +74,8 @@ type HostProbe interface {
 // the kernel RNG used by procs; identical seeds give identical runs.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		pq:    newCalQueue(),
-		rng:   rand.New(rand.NewSource(seed)),
-		grant: Forever,
+		pq:  newCalQueue(),
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -213,12 +205,6 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	for !k.shutdown {
 		ev := k.pq.Peek()
 		if ev == nil {
-			// Out of local work. An attached LP parks in the safe-time
-			// protocol and may be handed cross-shard messages; a detached
-			// kernel is simply done.
-			if k.gov != nil && k.gov.awaitWork(k) {
-				continue
-			}
 			break
 		}
 		if ev.cancelled {
@@ -233,14 +219,6 @@ func (k *Kernel) RunUntil(deadline Time) error {
 				k.host.CancelPurge()
 			}
 			k.freeEvent(ev)
-			continue
-		}
-		if k.gov != nil && ev.at >= k.grant {
-			// Conservative gate: the next event is not yet proven safe.
-			// awaitGrant blocks until the safe horizon extends past it or
-			// earlier cross-shard messages arrive (then re-examine), or
-			// aborts the kernel when the Sharded run is stopping.
-			k.gov.awaitGrant(k, ev.at)
 			continue
 		}
 		if ev.at > deadline {

@@ -248,11 +248,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			k.Spawn("a", func(p *Proc) { q.Get(p) })
 			return k.Run()
 		}},
-		{"sharded-stopped", true, func() error {
+		{"sharded-error", true, func() error {
 			s := NewSharded(2)
-			bad := s.AddLP("bad", func(lp *LP) error {
+			s.AddLP("bad", func(*LP) error {
 				k := NewKernel(1)
-				lp.Attach(k)
 				late(k)
 				k.Spawn("fail", func(p *Proc) {
 					p.Advance(Microsecond)
@@ -260,16 +259,11 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				})
 				return k.Run()
 			})
-			waiter := s.AddLP("waiter", func(lp *LP) error {
+			s.AddLP("healthy", func(*LP) error {
 				k := NewKernel(2)
-				lp.Attach(k)
-				late(k)
-				q := NewQueue[int](k, "never", 1)
-				k.Spawn("wait", func(p *Proc) { q.Get(p) })
+				k.Spawn("work", func(p *Proc) { p.Advance(Millisecond) })
 				return k.Run()
 			})
-			s.Link(bad, waiter, Microsecond)
-			s.Link(waiter, bad, Microsecond)
 			return s.Run()
 		}},
 	}

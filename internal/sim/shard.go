@@ -1,522 +1,84 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// ErrShardStopped aborts the kernels of the surviving logical processes
-// when another LP's body fails: their Run calls return it after unwinding.
-var ErrShardStopped = errors.New("sim: sharded run stopped by another shard's failure")
-
-// Sharded runs multiple kernels — logical processes (LPs) — concurrently
-// on host goroutines under a conservative safe-time protocol. Each LP owns
-// a private kernel (its own event queue, clock, procs and RNG), so the
-// whole sequential machinery runs unmodified inside a shard. LPs that
-// exchange messages must be connected by Link, which declares the minimum
-// virtual latency (the lookahead) of every message on that edge; the
-// protocol then computes, per LP, a safe horizon ("grant") below which
-// events provably cannot be affected by any future cross-shard message,
-// and kernels dispatch freely below it without coordination.
+// Sharded runs independent logical processes (LPs) on a bounded pool of
+// host goroutines. Each LP body builds and runs its own world — typically
+// a private kernel with its own event queue, clock, procs and RNG — so the
+// whole sequential machinery runs unmodified inside an LP.
 //
-// Determinism: cross-shard messages are ordered by (delivery time, sender
-// id, sender sequence) via the kernel's eventLess order, which makes
-// execution independent of when the protocol happened to hand a message
-// over. A Sharded run with W workers is therefore bit-for-bit identical
-// to the same run with 1 worker.
-//
-// The protocol is barrier-free: there is no global epoch or synchronized
-// round. A blocked LP computes the exact least-fixed-point safe horizon
-// (a shortest-path relaxation over "earliest time each LP could possibly
-// execute", with link latencies as edge weights) from a consistent
-// snapshot under the coordinator mutex, so safe time jumps directly to
-// the bound instead of creeping forward one lookahead per null-message
-// exchange, and only the LPs whose horizon actually moved are woken.
+// LPs must share no simulated state: nothing one body does may be
+// observable by another. Under that contract each LP's result depends
+// only on its own inputs, so a run with W workers is bit-for-bit
+// identical to the same run with 1 worker.
 type Sharded struct {
-	mu       sync.Mutex
-	lps      []*LP
-	workers  int
-	tokens   chan struct{}
-	started  bool
-	stopped  bool
-	quiesced bool
-	// solver scratch, reused across solves (all under mu)
-	dist    []Time
-	grants  []Time
-	settled []bool
+	lps     []*LP
+	workers int
+	started atomic.Bool
 }
-
-// lpStatus is an LP's coordination state, guarded by Sharded.mu.
-type lpStatus int8
-
-const (
-	lpRunning  lpStatus = iota // body executing (or not yet started)
-	lpBlocked                  // parked in awaitGrant/awaitWork
-	lpFinished                 // body returned
-)
 
 // LP is one logical process of a Sharded run.
 type LP struct {
-	s    *Sharded
-	idx  int
 	name string
 	body func(*LP) error
-
-	in  []*shardLink
-	out []*shardLink
-	// minOutLat is the LP's lookahead: the smallest latency over its out
-	// links, Forever when it has none (it can never send).
-	minOutLat Time
-
-	// All fields below are guarded by s.mu.
-	k       *Kernel // attached kernel (nil until Attach)
-	status  lpStatus
-	nextAt  Time // when blocked: next local event time (Forever if none)
-	wm      Time // published promise: no future delivery from this LP below wm; monotonic
-	grant   Time // last computed safe horizon for this LP
-	inbox   []xmsg
-	postSeq uint64
-	err     error
-
-	kick chan struct{} // cap 1; wakes a blocked LP
+	err  error
 }
 
-type shardLink struct {
-	from, to *LP
-	latency  Time
-}
-
-// xmsg is one posted cross-shard message awaiting integration.
-type xmsg struct {
-	at  Time
-	src int32
-	seq uint64
-	fn  func()
-}
-
-// NewSharded creates a parallel driver running at most workers LP bodies
-// concurrently. workers < 1 panics; workers == 1 gives the sequential
-// reference execution every parallel run must match bit-for-bit.
+// NewSharded creates a pool running at most workers LP bodies
+// concurrently. workers < 1 panics; workers == 1 runs the bodies one after
+// another in registration order.
 func NewSharded(workers int) *Sharded {
 	if workers < 1 {
 		panic("sim: Sharded needs at least one worker")
 	}
-	s := &Sharded{workers: workers, tokens: make(chan struct{}, workers)}
-	for i := 0; i < workers; i++ {
-		s.tokens <- struct{}{}
-	}
-	return s
+	return &Sharded{workers: workers}
 }
 
-// AddLP registers a logical process. body builds the LP's world (creating
-// a kernel, calling lp.Attach on it if the LP exchanges messages) and
-// returns when the shard's simulation is done. Must be called before Run.
+// AddLP registers a logical process. body builds the LP's world and
+// returns when its simulation is done. Must be called before Run.
 func (s *Sharded) AddLP(name string, body func(*LP) error) *LP {
-	if s.started {
+	if s.started.Load() {
 		panic("sim: AddLP after Run")
 	}
-	lp := &LP{
-		s:         s,
-		idx:       len(s.lps),
-		name:      name,
-		body:      body,
-		minOutLat: Forever,
-		nextAt:    Forever,
-		wm:        Forever, // no out links yet: cannot send at all
-		grant:     Forever, // no in links yet: nothing can arrive
-		kick:      make(chan struct{}, 1),
-	}
+	lp := &LP{name: name, body: body}
 	s.lps = append(s.lps, lp)
 	return lp
 }
 
-// Link declares that from may post messages to to with at least latency
-// of virtual delay — the lookahead the safe-time protocol leans on.
-// Latency must be positive: a zero-lookahead cycle admits no conservative
-// parallelism and would stall the protocol.
-func (s *Sharded) Link(from, to *LP, latency Time) {
-	if s.started {
-		panic("sim: Link after Run")
-	}
-	if latency <= 0 {
-		panic("sim: Link latency must be positive (it is the conservative lookahead)")
-	}
-	if from == to {
-		panic("sim: self-link is meaningless (local sends need no protocol)")
-	}
-	l := &shardLink{from: from, to: to, latency: latency}
-	from.out = append(from.out, l)
-	to.in = append(to.in, l)
-	if latency < from.minOutLat {
-		from.minOutLat = latency
-	}
-	from.wm = from.minOutLat // initial promise: nothing can be sent before t=0 + lookahead
-	to.grant = 0             // something may arrive; horizon starts at zero until solved
-}
-
-// Name reports the LP's name. Idx reports its stable index (its message
-// source id: cross-shard ties at one instant resolve in index order).
+// Name reports the LP's name.
 func (lp *LP) Name() string { return lp.name }
-func (lp *LP) Idx() int     { return lp.idx }
 
-// Attach binds a kernel to this LP so its Run gates event dispatch on the
-// safe-time protocol. Must be called from the LP's own body, before the
-// kernel runs. LPs with no links may skip Attach; their kernels then run
-// completely free of coordination.
-func (lp *LP) Attach(k *Kernel) {
-	s := lp.s
-	s.mu.Lock()
-	lp.k = k
-	k.gov = lp
-	s.solve()
-	k.grant = lp.grant
-	s.mu.Unlock()
-}
-
-// Post delivers fn into to's kernel after delay of virtual time (relative
-// to the sending LP's clock). It must be called from the sending LP's
-// execution context, delay must be at least the link latency, and a link
-// from lp to to must exist. fn runs inside the receiving kernel's
-// scheduler at the delivery instant; everything it captures is handed
-// over with proper synchronization.
-func (lp *LP) Post(to *LP, delay Time, fn func()) {
-	if lp.k == nil {
-		panic("sim: Post before Attach")
-	}
-	var link *shardLink
-	for _, l := range lp.out {
-		if l.to == to {
-			link = l
-			break
-		}
-	}
-	if link == nil {
-		panic(fmt.Sprintf("sim: Post %s->%s without a Link", lp.name, to.name))
-	}
-	if delay < link.latency {
-		panic(fmt.Sprintf("sim: Post %s->%s delay %s below link latency %s", lp.name, to.name, delay, link.latency))
-	}
-	at := satAdd(lp.k.now, delay)
-	s := lp.s
-	s.mu.Lock()
-	if at < lp.wm {
-		// The sender is violating its own published promise — a protocol
-		// bug, never a recoverable condition.
-		s.mu.Unlock()
-		panic(fmt.Sprintf("sim: Post %s->%s at %s below published watermark %s", lp.name, to.name, at, lp.wm))
-	}
-	lp.postSeq++
-	if to.status != lpFinished {
-		to.inbox = append(to.inbox, xmsg{at: at, src: int32(lp.idx), seq: lp.postSeq, fn: fn})
-		if to.status == lpBlocked {
-			to.kickLocked()
-		}
-	}
-	s.mu.Unlock()
-}
-
-func (lp *LP) kickLocked() {
-	select {
-	case lp.kick <- struct{}{}:
-	default:
-	}
-}
-
-// integrateLocked moves pending inbox messages into the kernel's queue.
-// The queue's (at, src, seq) order makes the insertion moment irrelevant
-// to execution order. Caller holds s.mu and owns k.
-func (lp *LP) integrateLocked(k *Kernel) bool {
-	if len(lp.inbox) == 0 {
-		return false
-	}
-	for i := range lp.inbox {
-		m := &lp.inbox[i]
-		k.scheduleMessage(m.at, m.src, m.seq, m.fn)
-		m.fn = nil
-	}
-	lp.inbox = lp.inbox[:0]
-	return true
-}
-
-// satAdd adds two virtual durations, saturating at Forever.
-func satAdd(a, b Time) Time {
-	if a >= Forever-b {
-		return Forever
-	}
-	return a + b
-}
-
-// solve recomputes every LP's safe horizon from a consistent snapshot.
-//
-// dist[i] is the earliest virtual time LP i could possibly execute
-// another event: its own next pending event or inbox delivery, or the
-// earliest message any other LP could still send it. Blocked LPs expose
-// their exact next-event time; running and finished LPs are opaque, but
-// their published (monotonic, forever-valid) watermark bounds anything
-// they may yet deliver. A Dijkstra relaxation over the link graph with
-// latencies as edge weights yields the least fixed point directly —
-// grant[i] = min over senders j of (dist[j] + latency(j,i)) — instead of
-// creeping toward it one lookahead at a time.
-//
-// Caller holds s.mu.
-func (s *Sharded) solve() {
-	n := len(s.lps)
-	if cap(s.dist) < n {
-		s.dist = make([]Time, n)
-		s.grants = make([]Time, n)
-		s.settled = make([]bool, n)
-	}
-	dist, grants, settled := s.dist[:n], s.grants[:n], s.settled[:n]
-	for i, lp := range s.lps {
-		settled[i] = false
-		grants[i] = Forever
-		d := Forever
-		if lp.status == lpBlocked {
-			d = lp.nextAt
-			for j := range lp.inbox {
-				if lp.inbox[j].at < d {
-					d = lp.inbox[j].at
-				}
-			}
-		}
-		dist[i] = d
-	}
-	// Opaque (running/finished) LPs bound their deliveries by their
-	// published watermark.
-	for _, lp := range s.lps {
-		if lp.status != lpBlocked {
-			for _, l := range lp.out {
-				if lp.wm < grants[l.to.idx] {
-					grants[l.to.idx] = lp.wm
-				}
-			}
-		}
-	}
-	for i := range dist {
-		if grants[i] < dist[i] {
-			dist[i] = grants[i]
-		}
-	}
-	// Dijkstra over blocked LPs (small n: linear selection).
-	for {
-		u, best := -1, Forever
-		for i := range dist {
-			if !settled[i] && dist[i] < best {
-				u, best = i, dist[i]
-			}
-		}
-		if u < 0 {
-			break
-		}
-		settled[u] = true
-		if lp := s.lps[u]; lp.status == lpBlocked {
-			for _, l := range lp.out {
-				cand := satAdd(best, l.latency)
-				ti := l.to.idx
-				if cand < grants[ti] {
-					grants[ti] = cand
-					if cand < dist[ti] {
-						dist[ti] = cand
-					}
-				}
-			}
-		}
-	}
-	for i, lp := range s.lps {
-		if len(lp.in) > 0 {
-			lp.grant = grants[i]
-		}
-		if lp.status == lpBlocked {
-			if w := satAdd(dist[i], lp.minOutLat); w > lp.wm {
-				lp.wm = w
-			}
-		}
-	}
-}
-
-// settleLocked runs after every coordination-state change (an LP blocked,
-// finished, or new horizons were solved): it kicks every blocked LP that
-// now has something to do — pending inbox messages or a horizon past its
-// next event — and, if nothing in the system can make progress anymore,
-// declares global quiescence and releases every parked LP. With positive
-// lookahead on every link, "no LP running, none eligible" implies no
-// finite pending event exists anywhere: nothing will ever happen again.
-func (s *Sharded) settleLocked() {
-	alive := false
-	for _, lp := range s.lps {
-		switch lp.status {
-		case lpRunning:
-			alive = true
-		case lpBlocked:
-			if len(lp.inbox) > 0 || lp.nextAt < lp.grant {
-				lp.kickLocked()
-				alive = true
-			}
-		}
-	}
-	if alive || s.quiesced || s.stopped {
-		return
-	}
-	s.quiesced = true
-	for _, lp := range s.lps {
-		if lp.status == lpBlocked {
-			lp.kickLocked()
-		}
-	}
-}
-
-// awaitGrant blocks the LP until its safe horizon extends past at, or
-// earlier cross-shard messages arrive to integrate, or the run is
-// stopping (then the kernel is aborted). Called from RunUntil when the
-// next event is not yet proven safe.
-func (lp *LP) awaitGrant(k *Kernel, at Time) {
-	s := lp.s
-	s.mu.Lock()
-	for {
-		if s.stopped {
-			s.mu.Unlock()
-			k.Abort(ErrShardStopped)
-			return
-		}
-		if lp.integrateLocked(k) {
-			at = k.nextEventAt()
-		}
-		if s.quiesced {
-			// End of virtual time: every LP is drained, no message can
-			// ever be produced again. Lift the gate entirely.
-			k.grant = Forever
-			s.mu.Unlock()
-			return
-		}
-		if at < lp.grant {
-			k.grant = lp.grant
-			s.mu.Unlock()
-			return
-		}
-		lp.status = lpBlocked
-		lp.nextAt = at
-		s.solve()
-		s.settleLocked()
-		if len(lp.inbox) > 0 || at < lp.grant {
-			// Already serviceable (settleLocked queued a self-kick; it is
-			// drained below so it cannot cause a stale wake later).
-			lp.status = lpRunning
-			s.drainKick(lp)
-			continue
-		}
-		s.mu.Unlock()
-		s.releaseToken()
-		<-lp.kick
-		s.acquireToken()
-		s.mu.Lock()
-		lp.status = lpRunning
-		at = k.nextEventAt()
-	}
-}
-
-func (s *Sharded) drainKick(lp *LP) {
-	select {
-	case <-lp.kick:
-	default:
-	}
-}
-
-// awaitWork parks an attached LP whose queue ran dry: cross-shard
-// messages may still create work. It reports whether new work arrived;
-// false means the run is globally quiescent (or stopping) and the kernel
-// should wind down normally.
-func (lp *LP) awaitWork(k *Kernel) bool {
-	s := lp.s
-	if len(lp.in) == 0 {
-		return false // nothing can ever arrive
-	}
-	s.mu.Lock()
-	for {
-		if s.stopped {
-			s.mu.Unlock()
-			k.Abort(ErrShardStopped)
-			return false
-		}
-		if lp.integrateLocked(k) {
-			lp.status = lpRunning
-			k.grant = lp.grant
-			s.mu.Unlock()
-			return true
-		}
-		if s.quiesced {
-			s.mu.Unlock()
-			return false
-		}
-		lp.status = lpBlocked
-		lp.nextAt = Forever
-		s.solve()
-		s.settleLocked()
-		s.mu.Unlock()
-		s.releaseToken()
-		<-lp.kick
-		s.acquireToken()
-		s.mu.Lock()
-	}
-}
-
-func (k *Kernel) nextEventAt() Time {
-	if ev := k.pq.Peek(); ev != nil {
-		return ev.at
-	}
-	return Forever
-}
-
-func (s *Sharded) acquireToken() { <-s.tokens }
-func (s *Sharded) releaseToken() { s.tokens <- struct{}{} }
-
-// Run executes every LP body, at most `workers` concurrently, and blocks
-// until all complete. It returns the first (by LP registration order)
-// body error that is not the induced ErrShardStopped, or nil.
+// Run executes every LP body on at most `workers` goroutines and blocks
+// until all complete. A failing body does not stop the others. Run
+// returns the first (by LP registration order) non-nil body error, or nil.
 func (s *Sharded) Run() error {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
+	if s.started.Swap(true) {
 		panic("sim: Sharded.Run called twice")
 	}
-	s.started = true
-	s.mu.Unlock()
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, lp := range s.lps {
+	for w := min(s.workers, len(s.lps)); w > 0; w-- {
 		wg.Add(1)
-		go func(lp *LP) {
+		go func() {
 			defer wg.Done()
-			s.acquireToken()
-			err := lp.body(lp)
-			s.mu.Lock()
-			lp.err = err
-			lp.status = lpFinished
-			lp.wm = Forever
-			lp.inbox = nil
-			if err != nil {
-				s.stopped = true
-				for _, o := range s.lps {
-					if o.status == lpBlocked {
-						o.kickLocked()
-					}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(s.lps) {
+					return
 				}
-			} else {
-				s.solve()
-				s.settleLocked()
+				lp := s.lps[i]
+				lp.err = lp.body(lp)
 			}
-			s.mu.Unlock()
-			s.releaseToken()
-		}(lp)
+		}()
 	}
 	wg.Wait()
-	var induced error
 	for _, lp := range s.lps {
 		if lp.err != nil {
-			if !errors.Is(lp.err, ErrShardStopped) {
-				return lp.err
-			}
-			induced = lp.err
+			return lp.err
 		}
 	}
-	return induced
+	return nil
 }

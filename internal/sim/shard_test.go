@@ -6,180 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
-
-// shardPingRun wires two linked LPs that bounce a token back and forth
-// `rounds` times over links with the given latency, returning each LP's
-// receipt log and final clock.
-func shardPingRun(t *testing.T, workers, rounds int, lat Time) [2][]string {
-	t.Helper()
-	var logs [2][]string
-	var ks [2]*Kernel
-	var qs [2]*Queue[int]
-	for i := range ks {
-		ks[i] = NewKernel(int64(100 + i))
-		qs[i] = NewQueue[int](ks[i], "in", 64)
-	}
-	s := NewSharded(workers)
-	var lps [2]*LP
-	body := func(i int) func(*LP) error {
-		return func(lp *LP) error {
-			k := ks[i]
-			lp.Attach(k)
-			peer := lps[1-i]
-			k.Spawn("player", func(p *Proc) {
-				for r := 0; r < rounds; r++ {
-					if i == 0 {
-						v := r
-						lp.Post(peer, lat, func() { qs[1].TryPut(1000 + v) })
-					}
-					got := qs[i].Get(p)
-					logs[i] = append(logs[i], fmt.Sprintf("t=%s got %d", k.Now(), got))
-					if i == 1 {
-						v := got
-						lp.Post(peer, lat, func() { qs[0].TryPut(v + 1000) })
-					}
-				}
-			})
-			if err := k.Run(); err != nil {
-				return err
-			}
-			logs[i] = append(logs[i], fmt.Sprintf("end t=%s", k.Now()))
-			return nil
-		}
-	}
-	lps[0] = s.AddLP("a", body(0))
-	lps[1] = s.AddLP("b", body(1))
-	s.Link(lps[0], lps[1], lat)
-	s.Link(lps[1], lps[0], lat)
-	if err := s.Run(); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	return logs
-}
-
-// TestShardedPingPongEquivalence is the core parallel-determinism gate at
-// the sim layer: the same linked two-LP run must produce identical logs
-// under 1 worker (the sequential reference) and 4 workers.
-func TestShardedPingPongEquivalence(t *testing.T) {
-	seqLogs := shardPingRun(t, 1, 200, 3*Microsecond)
-	parLogs := shardPingRun(t, 4, 200, 3*Microsecond)
-	for i := range seqLogs {
-		if len(seqLogs[i]) != len(parLogs[i]) {
-			t.Fatalf("lp%d: log lengths differ: seq=%d par=%d", i, len(seqLogs[i]), len(parLogs[i]))
-		}
-		for j := range seqLogs[i] {
-			if seqLogs[i][j] != parLogs[i][j] {
-				t.Fatalf("lp%d diverges at %d: seq=%q par=%q", i, j, seqLogs[i][j], parLogs[i][j])
-			}
-		}
-	}
-	// And the timing itself must be exact: each hop costs lat, token
-	// returns every 2 hops, 200 rounds.
-	want := fmt.Sprintf("end t=%s", Time(200*2*3*Microsecond))
-	if got := seqLogs[0][len(seqLogs[0])-1]; got != want {
-		t.Fatalf("final clock: got %q want %q", got, want)
-	}
-}
-
-// TestShardedRing circulates a token around a 5-LP ring: progress proves
-// the safe-time solver jumps horizons through the cycle instead of
-// stalling or creeping.
-func TestShardedRing(t *testing.T) {
-	const n, laps = 5, 40
-	lat := 2 * Microsecond
-	var ks [n]*Kernel
-	var qs [n]*Queue[int]
-	for i := range ks {
-		ks[i] = NewKernel(int64(i))
-		qs[i] = NewQueue[int](ks[i], "ring", 4)
-	}
-	s := NewSharded(3)
-	var lps [n]*LP
-	var hops atomic.Int64
-	for i := 0; i < n; i++ {
-		i := i
-		lps[i] = s.AddLP(fmt.Sprintf("n%d", i), func(lp *LP) error {
-			k := ks[i]
-			lp.Attach(k)
-			next := lps[(i+1)%n]
-			k.Spawn("relay", func(p *Proc) {
-				if i == 0 {
-					ni := (i + 1) % n
-					lp.Post(next, lat, func() { qs[ni].TryPut(1) })
-				}
-				for lap := 0; lap < laps; lap++ {
-					v := qs[i].Get(p)
-					hops.Add(1)
-					if i == 0 && lap == laps-1 {
-						return // token retired after the last lap
-					}
-					ni := (i + 1) % n
-					lp.Post(next, lat, func() { qs[ni].TryPut(v + 1) })
-				}
-			})
-			return k.Run()
-		})
-	}
-	for i := 0; i < n; i++ {
-		s.Link(lps[i], lps[(i+1)%n], lat)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The token visits every LP once per lap (the initial post plus n0's
-	// laps-1 forwards each sweep the ring), so every LP receives exactly
-	// laps times and the last delivery — the n*laps-th hop — lands at n0.
-	if got := hops.Load(); got != n*laps {
-		t.Fatalf("hops = %d, want %d", got, n*laps)
-	}
-	if now := ks[0].Now(); now != Time(n*laps)*lat {
-		t.Fatalf("final clock at n0 = %s, want %s", now, Time(n*laps)*lat)
-	}
-}
-
-// TestShardedSameInstantOrdering posts from two senders so both messages
-// arrive at the receiver at the same virtual instant: execution order
-// must follow (sender idx, sender seq), not host scheduling.
-func TestShardedSameInstantOrdering(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		var order []int
-		kc := NewKernel(9)
-		s := NewSharded(3)
-		var sender [2]*LP
-		var recv *LP
-		for i := 0; i < 2; i++ {
-			i := i
-			sender[i] = s.AddLP(fmt.Sprintf("s%d", i), func(lp *LP) error {
-				k := NewKernel(int64(i))
-				lp.Attach(k)
-				k.Spawn("post", func(p *Proc) {
-					// Stagger local clocks; deliveries still collide at 10us.
-					p.Advance(Time(i) * Microsecond)
-					d := Time(10-i) * Microsecond
-					for j := 0; j < 3; j++ {
-						j := j
-						lp.Post(recv, d, func() { order = append(order, i*10+j) })
-					}
-				})
-				return k.Run()
-			})
-		}
-		recv = s.AddLP("recv", func(lp *LP) error {
-			lp.Attach(kc)
-			return kc.Run()
-		})
-		s.Link(sender[0], recv, Microsecond)
-		s.Link(sender[1], recv, Microsecond)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		want := "[0 1 2 10 11 12]"
-		if got := fmt.Sprint(order); got != want {
-			t.Fatalf("trial %d: delivery order %s, want %s", trial, got, want)
-		}
-	}
-}
 
 // TestShardedUnlinked runs independent LPs with no links: no protocol
 // overhead, full completion, deterministic per-LP results.
@@ -232,15 +60,14 @@ func TestShardedUnlinked(t *testing.T) {
 	}
 }
 
-// TestShardedErrorStopsFleet: one failing body stops the whole run; the
-// reported error is the root cause, not the induced shard stops.
+// TestShardedErrorStopsFleet: one failing body fails the fleet's Run,
+// and the reported error is that root cause, not a later LP's own
+// failure.
 func TestShardedErrorStopsFleet(t *testing.T) {
 	boom := errors.New("boom")
 	s := NewSharded(2)
-	var lps [2]*LP
-	lps[0] = s.AddLP("bad", func(lp *LP) error {
+	s.AddLP("bad", func(*LP) error {
 		k := NewKernel(1)
-		lp.Attach(k)
 		k.Spawn("fail", func(p *Proc) {
 			p.Advance(Microsecond)
 			p.Fatalf("boom")
@@ -250,92 +77,127 @@ func TestShardedErrorStopsFleet(t *testing.T) {
 		}
 		return nil
 	})
-	lps[1] = s.AddLP("waiter", func(lp *LP) error {
+	s.AddLP("waiter", func(*LP) error {
 		k := NewKernel(2)
-		lp.Attach(k)
 		q := NewQueue[int](k, "never", 1)
 		k.Spawn("wait", func(p *Proc) { q.Get(p) })
 		return k.Run()
 	})
-	s.Link(lps[0], lps[1], Microsecond)
-	s.Link(lps[1], lps[0], Microsecond)
-	err := s.Run()
-	if !errors.Is(err, boom) {
+	if err := s.Run(); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want the root-cause failure", err)
-	}
-	if lps[1].err == nil {
-		t.Fatal("surviving LP was not stopped")
-	}
-	if !errors.Is(lps[1].err, ErrShardStopped) && !strings.Contains(lps[1].err.Error(), "deadlock") {
-		t.Fatalf("survivor error = %v, want induced stop", lps[1].err)
 	}
 }
 
-// TestShardedLocalDeadlock: a linked LP whose procs can never run again
-// quiesces globally and surfaces the standard per-LP deadlock report.
+// TestShardedLocalDeadlock: an LP whose procs can never run again
+// surfaces its kernel's standard deadlock report, and the other LP still
+// completes.
 func TestShardedLocalDeadlock(t *testing.T) {
 	s := NewSharded(2)
-	var lps [2]*LP
-	lps[0] = s.AddLP("stuck", func(lp *LP) error {
+	s.AddLP("stuck", func(*LP) error {
 		k := NewKernel(1)
-		lp.Attach(k)
 		q := NewQueue[int](k, "q", 0)
 		k.Spawn("blocked", func(p *Proc) { q.Get(p) })
 		return k.Run()
 	})
-	lps[1] = s.AddLP("fine", func(lp *LP) error {
+	var fineEnd Time
+	s.AddLP("fine", func(*LP) error {
 		k := NewKernel(2)
-		lp.Attach(k)
 		k.Spawn("quick", func(p *Proc) { p.Advance(Microsecond) })
-		return k.Run()
+		err := k.Run()
+		fineEnd = k.Now()
+		return err
 	})
-	s.Link(lps[0], lps[1], Microsecond)
-	s.Link(lps[1], lps[0], Microsecond)
 	err := s.Run()
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("Run error = %v, want deadlock report", err)
+	var dl *ErrDeadlock
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run error = %v, want *ErrDeadlock", err)
 	}
 	if !strings.Contains(err.Error(), "get on queue q") {
 		t.Fatalf("deadlock report lost the park reason: %v", err)
 	}
+	if fineEnd != Microsecond {
+		t.Fatalf("healthy LP ended at %s, want %s", fineEnd, Microsecond)
+	}
 }
 
-// TestShardedPostValidation: protocol misuse fails loudly.
-func TestShardedPostValidation(t *testing.T) {
-	s := NewSharded(1)
-	var a, b *LP
-	a = s.AddLP("a", func(lp *LP) error {
-		k := NewKernel(1)
-		lp.Attach(k)
-		k.Spawn("p", func(p *Proc) {
-			defer func() {
-				if recover() == nil {
-					p.Fatalf("Post below link latency did not panic")
+// TestShardedFirstErrorInRegistrationOrder: every body runs even after an
+// earlier one fails, and Run reports the first failure by registration
+// order. With more than one worker, LP 1 fails only after LP 4 has, so
+// host timing would pick the wrong error if Run reported by completion.
+func TestShardedFirstErrorInRegistrationOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		const n = 6
+		var ran atomic.Int64
+		lp4Failed := make(chan struct{})
+		s := NewSharded(workers)
+		for i := 0; i < n; i++ {
+			s.AddLP(fmt.Sprintf("lp%d", i), func(*LP) error {
+				ran.Add(1)
+				switch i {
+				case 1:
+					if workers > 1 {
+						<-lp4Failed
+					}
+					return errors.New("lp1 failed")
+				case 4:
+					close(lp4Failed)
+					return errors.New("lp4 failed")
 				}
-			}()
-			lp.Post(b, Nanosecond, func() {}) // latency is 1us: must panic
-		})
-		return k.Run()
-	})
-	b = s.AddLP("b", func(lp *LP) error {
-		k := NewKernel(2)
-		lp.Attach(k)
-		return k.Run()
-	})
-	s.Link(a, b, Microsecond)
-	s.Link(b, a, Microsecond)
+				return nil
+			})
+		}
+		err := s.Run()
+		if err == nil || err.Error() != "lp1 failed" {
+			t.Fatalf("workers=%d: Run error = %v, want lp1's", workers, err)
+		}
+		if got := ran.Load(); got != n {
+			t.Fatalf("workers=%d: %d bodies ran, want %d", workers, got, n)
+		}
+	}
+}
+
+// TestShardedWorkerBound: no more than `workers` bodies run at once.
+func TestShardedWorkerBound(t *testing.T) {
+	for _, workers := range []int{1, 3, 16} {
+		var active, peak atomic.Int64
+		s := NewSharded(workers)
+		for i := 0; i < 12; i++ {
+			s.AddLP(fmt.Sprintf("lp%d", i), func(*LP) error {
+				now := active.Add(1)
+				for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+				}
+				time.Sleep(time.Millisecond)
+				active.Add(-1)
+				return nil
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got < 1 || got > int64(workers) {
+			t.Fatalf("workers=%d: peak concurrency %d", workers, got)
+		}
+	}
+}
+
+// TestShardedMisusePanics: a worker-less pool, AddLP after Run and a
+// second Run all fail loudly.
+func TestShardedMisusePanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("NewSharded(0)", func() { NewSharded(0) })
+	s := NewSharded(1)
+	s.AddLP("a", func(*LP) error { return nil })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := func() (ok bool, err error) {
-		defer func() {
-			if recover() == nil {
-				err = errors.New("zero-latency Link did not panic")
-			}
-		}()
-		NewSharded(1).Link(a, b, 0)
-		return
-	}(); err != nil {
-		t.Fatal(err)
-	}
+	mustPanic("AddLP after Run", func() { s.AddLP("b", func(*LP) error { return nil }) })
+	mustPanic("second Run", func() { s.Run() })
 }

@@ -75,7 +75,7 @@ func TestChaosKernelArmsDeterminism(t *testing.T) {
 	}
 
 	// Arm: the same run inside a 2-worker sharded fleet, racing a noisy
-	// neighbour replica for the worker tokens.
+	// neighbour replica for the pool's workers.
 	var sharded chaosArmResult
 	s := sim.NewSharded(2)
 	s.AddLP("chaos", func(lp *sim.LP) error {
