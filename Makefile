@@ -135,15 +135,37 @@ bench-host:
 .PHONY: bench-host
 
 # Host-cost gate: kernel microbenchmarks, the hostprof/hostbench unit
-# suites, the host-side determinism proofs, then the noise-aware guard —
+# suites, the deterministic allocation ceilings (cluster build, steady
+# round trip), the host-side determinism proofs, then the noise-aware guard —
 # reduced iterations against the committed baseline, with MAD-derived
 # tolerance bands absorbing machine noise.
 ci-host:
 	$(GO) test ./internal/hostprof/ ./internal/hostbench/ ./cmd/cellpilot-bench/
+	$(GO) test -run 'AllocCeiling' ./internal/cluster/ ./internal/core/
 	$(GO) test -run 'HostProf|ObservabilityZeroCost' ./internal/workload/ ./internal/core/
 	$(GO) test -run '^$$' -bench 'HeapPushPop|TimerCancelPurge|EventDispatch|ContextSwitch' -benchtime 100000x ./internal/sim/
 	$(GO) run ./cmd/cellpilot-bench -exp guard -reps 200 -iters 2
 .PHONY: ci-host
+
+# Repository benchmark (perfbench/): run its three workloads from this
+# checkout into .bench_build/perf/<workload>.out. The previous run's
+# outputs move to .bench_build/perf.prev/ first and each workload is
+# compared against them, so `make perf` on a base commit and then on a
+# change prints the change's deltas.
+perf:
+	@rm -rf .bench_build/perf.prev
+	@if [ -d .bench_build/perf ]; then mv .bench_build/perf .bench_build/perf.prev; fi
+	@mkdir -p .bench_build/perf
+	@for w in pingpong-grid scenario-fleet fleet; do \
+		out=.bench_build/perf/$$w.out; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 8 --trace 0 >$$out; st=$$?; \
+		grep -v '^{' $$out; [ $$st -eq 0 ] || exit $$st; \
+		if [ -f .bench_build/perf.prev/$$w.out ]; then \
+			echo "# $$w: previous run -> this run"; \
+			bash perfbench/run.sh compare .bench_build/perf.prev/$$w.out $$out || exit 1; \
+		fi; \
+	done
+.PHONY: perf
 
 # Deeper sweep (slower): tier-1 plus the race detector, the chaos,
 # observability, scenario-fleet and host-cost gates, the perf-regression

@@ -8,11 +8,15 @@ import "fmt"
 // a stack-disciplined buffer allocator for message staging. Exceeding the
 // store is the paper's central resource constraint and is reported as an
 // explicit error, never a silent wrap.
+//
+// The allocator works on the capacity alone; the bytes themselves are
+// made at most once, by Back, when something first needs them.
 type LocalStore struct {
-	data      []byte
-	resident  int // bytes claimed by runtime/code/stack, at the bottom
-	top       int // bump pointer for buffer allocations
-	highWater int // largest top ever reached (for utilization reports)
+	size      int
+	data      []byte // nil until Back
+	resident  int    // bytes claimed by runtime/code/stack, at the bottom
+	top       int    // bump pointer for buffer allocations
+	highWater int    // largest top ever reached (for utilization reports)
 	allocs    []int
 }
 
@@ -29,18 +33,26 @@ func (e *ErrLSOverflow) Error() string {
 		e.What, e.Want, e.Free, e.Size)
 }
 
-// NewLocalStore creates a local store of size bytes.
+// NewLocalStore creates a local store of size bytes. Its backing is made
+// by Back, or by the first Window.
 func NewLocalStore(size int) *LocalStore {
-	ls := &LocalStore{data: make([]byte, size)}
-	ls.top = 0
-	return ls
+	return &LocalStore{size: size}
+}
+
+// Back makes the store's zeroed backing if it does not have one yet.
+// Reserving an SPE for a program calls it, so the cost lands in
+// configuration rather than in the first transfer.
+func (ls *LocalStore) Back() {
+	if ls.data == nil {
+		ls.data = make([]byte, ls.size)
+	}
 }
 
 // Size reports the store's capacity.
-func (ls *LocalStore) Size() int { return len(ls.data) }
+func (ls *LocalStore) Size() int { return ls.size }
 
 // Free reports bytes available to the buffer allocator.
-func (ls *LocalStore) Free() int { return len(ls.data) - ls.top }
+func (ls *LocalStore) Free() int { return ls.size - ls.top }
 
 // Resident reports bytes claimed by LoadImage.
 func (ls *LocalStore) Resident() int { return ls.resident }
@@ -49,8 +61,8 @@ func (ls *LocalStore) Resident() int { return ls.resident }
 // library, program text/data, stack reserve). It resets any existing image
 // and all buffer allocations, as loading a new SPE program does.
 func (ls *LocalStore) LoadImage(what string, n int) error {
-	if n > len(ls.data) {
-		return &ErrLSOverflow{Want: n, Free: len(ls.data), Size: len(ls.data), What: what}
+	if n > ls.size {
+		return &ErrLSOverflow{Want: n, Free: ls.size, Size: ls.size, What: what}
 	}
 	ls.resident = n
 	ls.top = Align(n, 16)
@@ -65,8 +77,8 @@ func (ls *LocalStore) Alloc(what string, n, align int) (uint32, error) {
 		align = 16 // quad-word: the Cell's preferred DMA alignment
 	}
 	base := Align(ls.top, align)
-	if base+n > len(ls.data) {
-		return 0, &ErrLSOverflow{Want: n, Free: ls.Free(), Size: len(ls.data), What: what}
+	if base+n > ls.size {
+		return 0, &ErrLSOverflow{Want: n, Free: ls.Free(), Size: ls.size, What: what}
 	}
 	ls.allocs = append(ls.allocs, ls.top)
 	ls.top = base + n
@@ -99,10 +111,12 @@ func (ls *LocalStore) Release() error {
 	return nil
 }
 
-// Window returns a mutable view of LS bytes [addr, addr+n).
+// Window returns a mutable view of LS bytes [addr, addr+n), backing the
+// store first if nothing has yet.
 func (ls *LocalStore) Window(addr uint32, n int) ([]byte, error) {
-	if int(addr)+n > len(ls.data) || n < 0 {
-		return nil, fmt.Errorf("cellbe: LS access [%#x,+%d) out of range (size %d)", addr, n, len(ls.data))
+	if int(addr)+n > ls.size || n < 0 {
+		return nil, fmt.Errorf("cellbe: LS access [%#x,+%d) out of range (size %d)", addr, n, ls.size)
 	}
+	ls.Back()
 	return ls.data[addr : int(addr)+n : int(addr)+n], nil
 }

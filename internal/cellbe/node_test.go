@@ -214,8 +214,12 @@ func TestParamsCostHelpers(t *testing.T) {
 	}
 }
 
+// Every allocator error fires at a fixed break with a fixed text.
 func TestMemoryAllocator(t *testing.T) {
 	m := NewMemory(1024)
+	if _, err := m.Alloc(-1, 1); err == nil || err.Error() != "cellbe: negative allocation -1" {
+		t.Fatalf("negative alloc: %v", err)
+	}
 	a, err := m.Alloc(100, 128)
 	if err != nil || a != 0 {
 		t.Fatalf("a=%d err=%v", a, err)
@@ -224,10 +228,31 @@ func TestMemoryAllocator(t *testing.T) {
 	if err != nil || b != 128 {
 		t.Fatalf("b=%d err=%v", b, err)
 	}
-	if _, err := m.Alloc(2048, 1); err == nil {
-		t.Fatal("overflow alloc succeeded")
+	_, err = m.Alloc(2048, 1)
+	if want := "cellbe: main memory exhausted (want 2048 bytes at 0xe4 of 1024)"; err == nil || err.Error() != want {
+		t.Fatalf("overflow alloc: %v, want %q", err, want)
 	}
-	if _, err := m.Window(1000, 100); err == nil {
-		t.Fatal("out-of-range window succeeded")
+	// Alignment padding counts against the capacity.
+	_, err = m.Alloc(769, 256)
+	if want := "cellbe: main memory exhausted (want 769 bytes at 0x100 of 1024)"; err == nil || err.Error() != want {
+		t.Fatalf("aligned overflow: %v, want %q", err, want)
+	}
+	if m.InUse() != 228 {
+		t.Fatalf("failed allocs moved the break to %d", m.InUse())
+	}
+	if c, err := m.Alloc(768, 256); err != nil || c != 256 {
+		t.Fatalf("alloc ending at the last byte: c=%d err=%v", c, err)
+	}
+	_, err = m.Window(1000, 100)
+	if want := "cellbe: main memory access [0x3e8,+100) out of range"; err == nil || err.Error() != want {
+		t.Fatalf("out-of-range window: %v, want %q", err, want)
+	}
+	for _, w := range []struct {
+		addr int64
+		n    int
+	}{{-1, 1}, {0, -1}, {1024, 1}} {
+		if _, err := m.Window(w.addr, w.n); err == nil {
+			t.Errorf("Window(%d, %d) succeeded", w.addr, w.n)
+		}
 	}
 }

@@ -23,7 +23,8 @@ type Spec struct {
 	// XeonCores is cores per conventional node.
 	XeonCores int
 	// MemPerNode is main memory bytes per node (default 64 MB — plenty for
-	// simulated message buffers).
+	// simulated message buffers). It is address space: only allocations
+	// are backed.
 	MemPerNode int
 	// Params overrides the timing calibration (nil = DefaultParams).
 	Params *cellbe.Params

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"cellpilot/internal/cellbe"
@@ -113,5 +114,27 @@ func TestNodeListsPartition(t *testing.T) {
 		if n.Arch != cellbe.ArchCell {
 			t.Fatal("wrong arch in cell list")
 		}
+	}
+}
+
+// Building the paper's testbed costs what its nodes' models need, not
+// their memory capacities: main memory and local stores are backed only
+// once something allocates or reserves them, so a build stays far below
+// the 12 × 64 MiB + 128 × 256 KiB those capacities add up to.
+func TestPaperSpecBuildAllocCeiling(t *testing.T) {
+	const builds, ceiling = 5, 1 << 20
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		if _, err := New(PaperSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / builds
+	t.Logf("cluster.New(PaperSpec()) allocates %d bytes", perBuild)
+	if perBuild >= ceiling {
+		t.Fatalf("cluster.New(PaperSpec()) allocates %d bytes, ceiling %d", perBuild, ceiling)
 	}
 }

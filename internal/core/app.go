@@ -152,10 +152,10 @@ func NewApp(c *cluster.Cluster, opts Options) *App {
 	}
 	a.wire()
 	if opts.FlightDepth < 0 {
-		panic(usageError(callerLoc(1), "NewApp", "FlightDepth must be >= 0 (0 selects the default depth)"))
+		panic(usageError(callerLoc(1).String(), "NewApp", "FlightDepth must be >= 0 (0 selects the default depth)"))
 	}
 	if opts.SPEDeadlock && !opts.DeadlockDetection {
-		panic(usageError(callerLoc(1), "NewApp", "SPEDeadlock requires DeadlockDetection"))
+		panic(usageError(callerLoc(1).String(), "NewApp", "SPEDeadlock requires DeadlockDetection"))
 	}
 	a.allDone = sim.NewEvent(c.K, "pilot/all-done")
 	main := &Process{app: a, id: 0, name: "PI_MAIN", kind: KindRegular, nodeID: a.placeRegular(0)}
@@ -254,7 +254,7 @@ func (a *App) Channels() []*Channel { return a.chans }
 // Pilot diagnostic rather than aborting a simulation that isn't running.
 func (a *App) configOnly(api string) {
 	if a.phase != phaseConfig {
-		panic(usageError(callerLoc(2), api, "only allowed in the configuration phase"))
+		panic(usageError(callerLoc(2).String(), api, "only allowed in the configuration phase"))
 	}
 }
 
@@ -263,7 +263,7 @@ func (a *App) configOnly(api string) {
 func (a *App) CreateProcess(name string, fn ProcessFunc, index int, arg any) *Process {
 	a.configOnly("PI_CreateProcess")
 	if fn == nil {
-		panic(usageError(callerLoc(1), "PI_CreateProcess", "nil process function"))
+		panic(usageError(callerLoc(1).String(), "PI_CreateProcess", "nil process function"))
 	}
 	p := &Process{
 		app: a, id: len(a.procs), name: name, kind: KindRegular,
@@ -281,7 +281,7 @@ func (a *App) CreateProcess(name string, fn ProcessFunc, index int, arg any) *Pr
 func (a *App) CreateProcessOn(node int, name string, fn ProcessFunc, index int, arg any) *Process {
 	a.configOnly("PI_CreateProcess")
 	if node < 0 || node >= len(a.Clu.Nodes) {
-		panic(usageError(callerLoc(1), "PI_CreateProcess", "no node %d in a %d-node cluster", node, len(a.Clu.Nodes)))
+		panic(usageError(callerLoc(1).String(), "PI_CreateProcess", "no node %d in a %d-node cluster", node, len(a.Clu.Nodes)))
 	}
 	p := a.CreateProcess(name, fn, index, arg)
 	p.nodeID = node
@@ -295,23 +295,28 @@ func (a *App) CreateSPE(prog *SPEProgram, parent *Process, index int) *Process {
 	a.configOnly("PI_CreateSPE")
 	loc := callerLoc(1)
 	if prog == nil || prog.Body == nil {
-		panic(usageError(loc, "PI_CreateSPE", "nil SPE program"))
+		panic(usageError(loc.String(), "PI_CreateSPE", "nil SPE program"))
 	}
 	if parent == nil {
-		panic(usageError(loc, "PI_CreateSPE", "nil parent process"))
+		panic(usageError(loc.String(), "PI_CreateSPE", "nil parent process"))
 	}
 	if parent.IsSPE() {
-		panic(usageError(loc, "PI_CreateSPE", "parent %s is an SPE process; SPE processes are controlled by a PPE process", parent))
+		panic(usageError(loc.String(), "PI_CreateSPE", "parent %s is an SPE process; SPE processes are controlled by a PPE process", parent))
 	}
 	node := a.Clu.Nodes[parent.nodeID]
 	if node.Arch != cellbe.ArchCell {
-		panic(usageError(loc, "PI_CreateSPE", "parent %s runs on %s, which has no SPEs", parent, node.Name))
+		panic(usageError(loc.String(), "PI_CreateSPE", "parent %s runs on %s, which has no SPEs", parent, node.Name))
 	}
 	used := a.speUsed[parent.nodeID]
 	if used >= len(node.SPEs()) {
-		panic(usageError(loc, "PI_CreateSPE", "node %s has only %d SPEs; all are reserved", node.Name, len(node.SPEs())))
+		panic(usageError(loc.String(), "PI_CreateSPE", "node %s has only %d SPEs; all are reserved", node.Name, len(node.SPEs())))
 	}
 	a.speUsed[parent.nodeID] = used + 1
+	// Back the reserved SPE's local store now, in configuration, so the
+	// run phase never pays for zeroing it. used < len(node.SPEs()), so
+	// the lookup cannot fail.
+	spe, _ := node.SPE(used)
+	spe.LS.Back()
 	p := &Process{
 		app: a, id: len(a.procs),
 		name:   fmt.Sprintf("%s#%d", prog.Name, index),
@@ -333,10 +338,10 @@ func (a *App) CreateChannel(from, to *Process) *Channel {
 	a.configOnly("PI_CreateChannel")
 	loc := callerLoc(1)
 	if from == nil || to == nil {
-		panic(usageError(loc, "PI_CreateChannel", "nil endpoint"))
+		panic(usageError(loc.String(), "PI_CreateChannel", "nil endpoint"))
 	}
 	if from == to {
-		panic(usageError(loc, "PI_CreateChannel", "%s cannot be both endpoints", from))
+		panic(usageError(loc.String(), "PI_CreateChannel", "%s cannot be both endpoints", from))
 	}
 	ch := &Channel{app: a, id: len(a.chans), From: from, To: to, typ: resolveType(from, to)}
 	ch.stop = func() error {
@@ -356,12 +361,12 @@ func (a *App) CreateBundle(kind BundleKind, chans []*Channel) *Bundle {
 	a.configOnly("PI_CreateBundle")
 	loc := callerLoc(1)
 	if len(chans) == 0 {
-		panic(usageError(loc, "PI_CreateBundle", "empty channel list"))
+		panic(usageError(loc.String(), "PI_CreateBundle", "empty channel list"))
 	}
 	var common *Process
 	for _, ch := range chans {
 		if (ch.From.IsSPE() || ch.To.IsSPE()) && !a.opts.SPECollectives {
-			panic(usageError(loc, "PI_CreateBundle",
+			panic(usageError(loc.String(), "PI_CreateBundle",
 				"%s has an SPE endpoint; collective operations on SPE processes are not supported (CellPilot future work; enable Options.SPECollectives)", ch))
 		}
 		end := ch.From // broadcast/scatter: common endpoint writes
@@ -371,13 +376,13 @@ func (a *App) CreateBundle(kind BundleKind, chans []*Channel) *Bundle {
 			role = "reader"
 		}
 		if end.IsSPE() {
-			panic(usageError(loc, "PI_CreateBundle",
+			panic(usageError(loc.String(), "PI_CreateBundle",
 				"the bundle's common endpoint must be a regular process, not SPE process %s", end))
 		}
 		if common == nil {
 			common = end
 		} else if common != end {
-			panic(usageError(loc, "PI_CreateBundle", "channels do not share a common %s endpoint", role))
+			panic(usageError(loc.String(), "PI_CreateBundle", "channels do not share a common %s endpoint", role))
 		}
 	}
 	b := &Bundle{app: a, id: len(a.bundles), kind: kind, common: common, chans: append([]*Channel(nil), chans...)}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -598,5 +599,25 @@ func TestManySPEsAllBusy(t *testing.T) {
 		if r != int32(i*i) {
 			t.Fatalf("spe %d returned %d", i, r)
 		}
+	}
+}
+
+// PI_CreateSPE backs the reserved SPE's local store in the configuration
+// phase, so the run phase's first window into it allocates nothing.
+func TestCreateSPEBacksLocalStore(t *testing.T) {
+	a := NewApp(newTestCluster(t), Options{})
+	sp := a.CreateSPE(&SPEProgram{Name: "idle", Body: func(*SPECtx) {}}, a.Main(), 0)
+	spe, err := a.Clu.Nodes[sp.nodeID].SPE(sp.speIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := spe.LS.Window(0, spe.LS.Size()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(spe.LS.Size()) {
+		t.Fatalf("first window after CreateSPE allocated %d bytes", got)
 	}
 }

@@ -29,8 +29,8 @@ func (c *Ctx) Arg() any { return c.Self.arg }
 
 // fail aborts the application with a Pilot diagnostic at the user's call
 // site (loc from callerLoc) and unwinds this process.
-func (c *Ctx) fail(loc, api, format string, args ...any) {
-	c.P.Fatalf("%v", usageError(loc, api, format, args...))
+func (c *Ctx) fail(loc callSite, api, format string, args ...any) {
+	c.P.Fatalf("%v", usageError(loc.String(), api, format, args...))
 }
 
 // peerRank resolves the MPI rank this process exchanges channel payloads
@@ -60,7 +60,7 @@ func (c *Ctx) TryWrite(ch *Channel, timeout sim.Time, format string, args ...any
 	return c.writeFrom(loc, "PI_TryWrite", ch, timeout, true, format, args...)
 }
 
-func (c *Ctx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
+func (c *Ctx) writeFrom(loc callSite, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
 	if ch == nil {
 		c.fail(loc, api, "nil channel")
 	}
@@ -180,7 +180,7 @@ func (c *Ctx) TryRead(ch *Channel, timeout sim.Time, format string, args ...any)
 	return c.readFrom(loc, "PI_TryRead", ch, timeout, true, format, args...)
 }
 
-func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
+func (c *Ctx) readFrom(loc callSite, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
 	if ch == nil {
 		c.fail(loc, api, "nil channel")
 	}
@@ -285,7 +285,7 @@ func (c *Ctx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool
 // booked on the NIC asynchronously, throttled by the pipeline window.
 // Unlike the rendezvous path, the write completes as soon as the last
 // chunk is on the wire — bounded-buffered eager semantics.
-func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire []byte, xfer int64, opStart, deadline sim.Time, soft bool) error {
+func (c *Ctx) writeChunked(loc callSite, api string, ch *Channel, spec *fmtmsg.Spec, wire []byte, xfer int64, opStart, deadline sim.Time, soft bool) error {
 	dst := c.peerRank(ch.To)
 	chunk := c.app.opts.Transfer.ChunkSize
 	nchunks := chunkCount(len(wire), chunk)
@@ -353,7 +353,7 @@ func (c *Ctx) writeChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, wire
 // buffer (charging per-chunk stack extraction), then unpack in place. A
 // drain abandoned by a deadline or stop poisons the channel — the partial
 // payload is discarded, never delivered.
-func (c *Ctx) readChunked(loc, api string, ch *Channel, spec *fmtmsg.Spec, expected int, opStart, deadline sim.Time, soft bool, args ...any) error {
+func (c *Ctx) readChunked(loc callSite, api string, ch *Channel, spec *fmtmsg.Spec, expected int, opStart, deadline sim.Time, soft bool, args ...any) error {
 	src := c.peerRank(ch.From)
 	stag := ch.streamTag()
 	self := c.Self.String()
@@ -451,7 +451,7 @@ func (c *Ctx) RunSPE(sp *Process, arg int, env any) {
 		// The SPE (or its node) was killed before launch: this parent's
 		// operation faults, but the application keeps running degraded.
 		c.app.raiseFault(c.Self, nil, &ChannelFault{
-			Loc: loc, API: "PI_RunSPE", Channel: sp.String(), ChannelID: -1,
+			Loc: loc.String(), API: "PI_RunSPE", Channel: sp.String(), ChannelID: -1,
 			Reason: "SPE process was killed by fault injection before launch",
 		}, false)
 	}

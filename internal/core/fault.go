@@ -206,11 +206,11 @@ func (a *App) failChannel(ch *Channel, reason string) {
 
 // opFault converts a low-level abandonment error (poisoned channel,
 // deadline expiry) into the operation's ChannelFault.
-func (a *App) opFault(loc, api string, proc *Process, ch *Channel, err error) *ChannelFault {
+func (a *App) opFault(loc callSite, api string, proc *Process, ch *Channel, err error) *ChannelFault {
 	var base *ChannelFault
 	if errors.As(err, &base) {
 		cp := *base
-		cp.Loc, cp.API = loc, api
+		cp.Loc, cp.API = loc.String(), api
 		cp.Tail = a.obs.flight.TailLines(faultTailDepth)
 		return &cp
 	}
@@ -221,14 +221,14 @@ func (a *App) opFault(loc, api string, proc *Process, ch *Channel, err error) *C
 		}
 		inCycle, detail := a.timeoutDetail(proc)
 		return &ChannelFault{
-			Loc: loc, API: api, Channel: ch.String(), ChannelID: ch.id,
+			Loc: loc.String(), API: api, Channel: ch.String(), ChannelID: ch.id,
 			Reason: "operation timed out", Timeout: true,
 			InCycle: inCycle, CycleDetail: detail,
 			Tail: a.obs.flight.TailLines(faultTailDepth),
 		}
 	}
 	return &ChannelFault{
-		Loc: loc, API: api, Channel: ch.String(), ChannelID: ch.id,
+		Loc: loc.String(), API: api, Channel: ch.String(), ChannelID: ch.id,
 		Reason: err.Error(), Tail: a.obs.flight.TailLines(faultTailDepth),
 	}
 }

@@ -51,15 +51,15 @@ func (c *SPECtx) mailboxReq(xfer int64, ch *Channel, bytes int, start, end sim.T
 	return pe
 }
 
-func (c *SPECtx) fail(loc, api, format string, args ...any) {
-	c.P.Fatalf("%v", usageError(loc, api, format, args...))
+func (c *SPECtx) fail(loc callSite, api, format string, args ...any) {
+	c.P.Fatalf("%v", usageError(loc.String(), api, format, args...))
 }
 
 // exchange runs one request through the Co-Pilot: it posts the
 // descriptor and waits for the completion status. It returns when the
 // descriptor was posted, and the operation's fault, already shaped by
 // opFault, when it did not complete.
-func (c *SPECtx) exchange(loc, api string, op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32, ctl sim.Ctl) (sim.Time, *ChannelFault) {
+func (c *SPECtx) exchange(loc callSite, api string, op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32, ctl sim.Ctl) (sim.Time, *ChannelFault) {
 	if cf := c.postDesc(loc, api, op, ch, lsAddr, size, sig, ctl); cf != nil {
 		return 0, cf
 	}
@@ -80,7 +80,7 @@ func (c *SPECtx) exchange(loc, api string, op speOpcode, ch *Channel, lsAddr uin
 // the plan injects mailbox faults the descriptor rides the
 // sequence-numbered ACK/repost protocol instead. A non-nil return is the
 // operation's fault, already shaped by opFault.
-func (c *SPECtx) postDesc(loc, api string, op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32, ctl sim.Ctl) *ChannelFault {
+func (c *SPECtx) postDesc(loc callSite, api string, op speOpcode, ch *Channel, lsAddr uint32, size int, sig uint32, ctl sim.Ctl) *ChannelFault {
 	if !c.app.mailboxHardened() {
 		for i, w := range [4]uint32{reqWord0(op, ch.id), lsAddr, uint32(size), sig} {
 			if err := c.sctx.WriteOutMboxCtl(c.P, w, ctl); err != nil {
@@ -172,7 +172,7 @@ func (c *SPECtx) awaitAck(ch *Channel, seq uint32, ack sim.Ctl) (acked bool, err
 // request did not complete. A fault status naming another channel is the
 // late status of a request this stub gave up on, and in mailbox-hardened
 // mode stale ACK/NACK words of reposted descriptors are skipped too.
-func (c *SPECtx) waitStatus(loc, api string, ch *Channel, ctl sim.Ctl) *ChannelFault {
+func (c *SPECtx) waitStatus(loc callSite, api string, ch *Channel, ctl sim.Ctl) *ChannelFault {
 	mh := c.app.mailboxHardened()
 	for {
 		v, err := c.sctx.ReadInMboxCtl(c.P, ctl)
@@ -228,7 +228,7 @@ func (c *SPECtx) TryWrite(ch *Channel, timeout sim.Time, format string, args ...
 	return c.writeFrom(loc, "PI_TryWrite", ch, timeout, true, format, args...)
 }
 
-func (c *SPECtx) writeFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
+func (c *SPECtx) writeFrom(loc callSite, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
 	if ch == nil {
 		c.fail(loc, api, "nil channel")
 	}
@@ -323,7 +323,7 @@ func (c *SPECtx) TryRead(ch *Channel, timeout sim.Time, format string, args ...a
 	return c.readFrom(loc, "PI_TryRead", ch, timeout, true, format, args...)
 }
 
-func (c *SPECtx) readFrom(loc, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
+func (c *SPECtx) readFrom(loc callSite, api string, ch *Channel, timeout sim.Time, soft bool, format string, args ...any) error {
 	if ch == nil {
 		c.fail(loc, api, "nil channel")
 	}

@@ -93,10 +93,11 @@ func (s *svcState) loop(p *sim.Proc) {
 }
 
 // reportBlock tells the deadlock service proc is blocked on ch waiting for
-// peer, at user call site loc. No-op unless the service is enabled.
-func (a *App) reportBlock(proc, peer *Process, ch *Channel, op deadlock.Op, loc string) {
+// peer, at user call site loc. No-op unless the service is enabled, so
+// only a run with the service resolves the call site.
+func (a *App) reportBlock(proc, peer *Process, ch *Channel, op deadlock.Op, loc callSite) {
 	if a.svc != nil {
-		a.svc.post(svcMsg{kind: svcBlock, proc: proc, peer: peer, ch: ch, op: op, loc: loc})
+		a.svc.post(svcMsg{kind: svcBlock, proc: proc, peer: peer, ch: ch, op: op, loc: loc.String()})
 	}
 }
 

@@ -181,7 +181,8 @@ type RemoteMem struct {
 	released bool
 }
 
-// RemoteMemCreate publishes a main-memory region for remote access.
+// RemoteMemCreate publishes a main-memory region for remote access. The
+// range must lie inside one main-memory allocation.
 func (rt *Runtime) RemoteMemCreate(node *cellbe.Node, ea int64, size int) (*RemoteMem, error) {
 	if cellbe.IsLSMapped(ea) {
 		return nil, fmt.Errorf("%w: remote memory must be in main storage", ErrNotSupported)
