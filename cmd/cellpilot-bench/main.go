@@ -13,7 +13,6 @@
 //	cellpilot-bench -exp profile    # virtual-time profiler breakdown
 //	cellpilot-bench -exp sizesweep  # 64B..1MB grid, chunk engine off vs on
 //	cellpilot-bench -exp guard      # regression gate vs results/BENCH_pingpong.json
-//	cellpilot-bench -exp hostbench  # host-cost suite -> results/BENCH_hostbench.json
 //	cellpilot-bench -exp kiloscale  # 1000-node sharded fleet, seq vs parallel arms
 //	cellpilot-bench -exp all        # everything
 //
@@ -25,8 +24,9 @@
 // counters grow), and keeps serving after they finish.
 //
 // With -out DIR the pingpong experiment additionally writes a
-// machine-readable BENCH_pingpong.json (ops, bytes, latency p50/p99 and
-// bandwidth per channel type).
+// machine-readable BENCH_pingpong.json (ops, bytes, exact one-way
+// latency p50/p99 from the raw round trips and bandwidth at p50 per
+// channel type).
 package main
 
 import (
@@ -48,7 +48,6 @@ import (
 	"cellpilot/internal/core"
 	"cellpilot/internal/critpath"
 	"cellpilot/internal/flowmap"
-	"cellpilot/internal/hostbench"
 	"cellpilot/internal/metrics"
 	"cellpilot/internal/profile"
 	"cellpilot/internal/sim"
@@ -58,13 +57,13 @@ import (
 )
 
 // experiments is every value -exp accepts, alphabetized ("all" last).
-// guard, hostbench and kiloscale run only when named explicitly (guard
-// needs a committed baseline; the other two are long wall-clock
-// measurements), so "all" excludes them.
+// guard and kiloscale run only when named explicitly (guard needs a
+// committed baseline; kiloscale is a long wall-clock measurement), so
+// "all" excludes them.
 var experiments = []string{
 	"ablations", "chaos", "cml", "fig5", "fig6", "footprint", "guard",
-	"hostbench", "imb", "kiloscale", "loc", "phases", "pingpong", "profile",
-	"sizesweep", "table2", "all",
+	"imb", "kiloscale", "loc", "phases", "pingpong", "profile", "sizesweep",
+	"table2", "all",
 }
 
 // validateExp rejects unknown experiment names up front — a typo must
@@ -98,13 +97,9 @@ func main() {
 	folded := flag.String("folded", "", "profile: write folded-stack text for -trace-type's run to this file")
 	pprofOut := flag.String("pprof", "", "profile: write a pprof profile for -trace-type's run to this file")
 	baseline := flag.String("baseline", "results/BENCH_pingpong.json", "guard: committed baseline to compare against")
-	hostBaseline := flag.String("host-baseline", "results/BENCH_hostbench.json", "guard/hostbench: committed host-cost baseline")
 	tolerance := flag.Float64("tolerance", 0.10, "guard: relative regression tolerance (0.10 = +10%)")
-	iters := flag.Int("iters", 0, "hostbench/guard: iterations per suite (0 = 3 for hostbench, 2 for the guard's re-measure)")
-	quick := flag.Bool("quick", false, "hostbench/kiloscale: shrink workloads for CI")
+	quick := flag.Bool("quick", false, "kiloscale: shrink the fleet for CI")
 	shards := flag.Int("shards", 0, "kiloscale: host worker shards for the parallel arm (0 = one shard per host core)")
-	burn := flag.Int("burn-alloc", 0, "hostbench/guard: deliberately allocate N bytes per kernel event (guard self-test: the gate must trip and blame a subsystem)")
-	gateWall := flag.Bool("gate-wall", false, "guard: make wall-clock metrics fatal, not advisory (use on quiet dedicated runners)")
 	listScen := flag.Bool("list-scenarios", false, "print the scenario library with one-line descriptions and exit")
 	scenDir := flag.String("scenarios", "scenarios", "scenario library directory (for -list-scenarios and the validate verb)")
 	flag.Parse()
@@ -117,10 +112,6 @@ func main() {
 	}
 	if err := validateExp(*exp); err != nil {
 		log.Fatal(err)
-	}
-	if *burn > 0 {
-		hostbench.BurnAllocBytes = *burn
-		fmt.Printf("burning %d bytes of allocation per kernel event (guard self-test)\n", *burn)
 	}
 
 	var pub *metrics.Publisher
@@ -196,10 +187,6 @@ func main() {
 	}
 	if *exp == "guard" { // explicit only: needs a committed baseline file
 		runGuard(*reps, *baseline, *tolerance)
-		runHostGuard(*hostBaseline, *iters, *tolerance, *gateWall)
-	}
-	if *exp == "hostbench" { // explicit only: a long wall-clock measurement
-		runHostBench(*outDir, *iters, *quick)
 	}
 	if *exp == "kiloscale" { // explicit only: a long wall-clock measurement
 		runKiloscale(*shards, *seed, *quick)
@@ -240,6 +227,7 @@ func runPingPongGrid(reps int, pub *metrics.Publisher, outDir string) {
 	blame := &critpath.File{Experiment: "pingpong", PayloadBytes: 1600, Reps: reps}
 	for typ := 1; typ <= 5; typ++ {
 		var oneWay sim.Time
+		var rtts []sim.Time
 		ran := 0
 		for b := 0; b < batches; b++ {
 			n := reps / batches
@@ -248,6 +236,7 @@ func runPingPongGrid(reps int, pub *metrics.Publisher, outDir string) {
 			}
 			cfg := workload.PingPongConfig{
 				Type: typ, Bytes: 1600, Method: workload.MethodCellPilot, Reps: n,
+				RoundTrips: &rtts,
 			}
 			var st core.Stats
 			var rec *trace.Recorder
@@ -289,21 +278,19 @@ func runPingPongGrid(reps int, pub *metrics.Publisher, outDir string) {
 			publish()
 		}
 		oneWay /= sim.Time(ran)
+		p50, p99 := workload.OneWayQuantiles(rtts)
 		prefix := fmt.Sprintf("chan/type%d", typ)
 		reg := meter.Registry()
-		lat := reg.LookupHistogram(prefix + "/latency_us")
-		bw := reg.LookupHistogram(prefix + "/bandwidth_mbps")
 		tr := typeResult{
-			Type:     fmt.Sprintf("type%d", typ),
-			Ops:      reg.Counter(prefix + "/ops").Value(),
-			Bytes:    reg.Counter(prefix + "/payload_bytes_total").Value(),
-			OneWayUs: oneWay.Micros(),
+			Type:         fmt.Sprintf("type%d", typ),
+			Ops:          reg.Counter(prefix + "/ops").Value(),
+			Bytes:        reg.Counter(prefix + "/payload_bytes_total").Value(),
+			OneWayUs:     oneWay.Micros(),
+			LatencyP50Us: p50.Micros(),
+			LatencyP99Us: p99.Micros(),
 		}
-		if lat != nil {
-			tr.LatencyP50Us, tr.LatencyP99Us = lat.Quantile(0.5), lat.Quantile(0.99)
-		}
-		if bw != nil && bw.Count() > 0 {
-			tr.BandwidthP50 = bw.Quantile(0.5)
+		if p50 > 0 {
+			tr.BandwidthP50 = 1600 / (float64(p50) / float64(sim.Second)) / 1e6
 		}
 		results = append(results, tr)
 		fmt.Printf("type%d  one-way %8.1fus  ops=%-6d bytes=%-9d latency p50=%.1fus p99=%.1fus bw p50=%.1fMB/s\n",
@@ -481,29 +468,6 @@ func runGuard(reps int, baselinePath string, tolerance float64) {
 	fmt.Println("guard: all channel types within tolerance")
 }
 
-// runHostBench runs the host-cost benchmark suite and writes the
-// schema-versioned ledger artifact (BENCH_hostbench.json).
-func runHostBench(outDir string, iters int, quick bool) {
-	f, err := hostbench.Run(hostbench.Suites(quick), iters, func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	f.Quick = quick
-	fmt.Printf("hostbench: %d suites x %d iterations on %s/%s go%s (%d CPUs)\n",
-		len(f.Suites), f.Iterations, f.Env.GOOS, f.Env.GOARCH,
-		strings.TrimPrefix(f.Env.GoVersion, "go"), f.Env.NumCPU)
-	if outDir == "" {
-		return
-	}
-	path := filepath.Join(outDir, "BENCH_hostbench.json")
-	if err := hostbench.WriteFile(path, f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("results written to %s\n", path)
-}
-
 // runKiloscale runs the thousand-node sharded fleet: for each workload it
 // times a sequential reference arm (1 worker) and a parallel arm (-shards
 // workers, 0 = one per host core), checks the two arms' fingerprints are
@@ -550,43 +514,6 @@ func runKiloscale(shards int, seed int64, quick bool) {
 			log.Fatalf("kiloscale: %s seq/par fingerprints diverge — parallel determinism broken", wl)
 		}
 	}
-}
-
-// runHostGuard is the host-cost half of the regression gate: it re-runs
-// the host benchmark suite (the same suite shape the committed baseline
-// was measured with) and fails if any suite's host metrics moved outside
-// the noise-aware band, naming the subsystem that regressed. A missing
-// baseline skips the gate with a note — the virtual-latency guard above
-// already ran, so this is an additive check.
-func runHostGuard(baselinePath string, iters int, tolerance float64, gateWall bool) {
-	base, err := hostbench.ReadFile(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Printf("host guard: no baseline at %s (run 'make bench-host' and commit it); skipping\n", baselinePath)
-			return
-		}
-		log.Fatalf("host guard: %v", err)
-	}
-	if iters == 0 {
-		iters = 2 // the MAD band comes from the baseline's dispersion
-	}
-	cur, err := hostbench.Run(hostbench.Suites(base.Quick), iters, func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// -tolerance scales the per-metric floors: 0.10 (the default) keeps
-	// them as designed, 0.20 doubles every band.
-	rep, err := hostbench.Guard(base, cur, hostbench.GuardOptions{FloorScale: tolerance / 0.10, GateWall: gateWall})
-	if err != nil {
-		log.Fatalf("host guard: %v", err)
-	}
-	fmt.Print(hostbench.FormatGuard(rep))
-	if regs := rep.Regressions(); len(regs) > 0 {
-		log.Fatalf("host guard: %d host metric(s) regressed (blame: %s)", len(regs), regs[0].Blame)
-	}
-	fmt.Println("host guard: all suites within tolerance")
 }
 
 // runProfile reruns the pingpong grid with the virtual-time profiler

@@ -16,10 +16,6 @@
 // -timeline also folds per-window counter tracks into the -chrome export,
 // so Perfetto renders backlog, utilization and saturation as counter
 // graphs above the span tracks.
-//
-// With -host BASE,NEW the command instead renders two host-cost benchmark
-// artifacts (BENCH_hostbench.json, written by cellpilot-bench -exp
-// hostbench) as a trend table and exits — no simulation runs.
 package main
 
 import (
@@ -29,10 +25,8 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 
 	"cellpilot"
-	"cellpilot/internal/hostbench"
 	"cellpilot/internal/trace"
 )
 
@@ -62,16 +56,10 @@ func main() {
 	top := flag.Bool("top", false, "print the per-process / per-channel-type utilization table")
 	critpathOn := flag.Bool("critpath", false, "print the critical-path blame report (per-stage service vs queueing)")
 	folded := flag.String("folded", "", "with -critpath: write folded critical-path stacks to this file (\"-\" = stdout)")
-	host := flag.String("host", "", "render two BENCH_hostbench.json files as a host-cost trend table: BASE,NEW")
 	timelineOn := flag.Bool("timeline", false, "record and print the windowed telemetry timeline (sparklines, peaks, recovery)")
 	timelineWindow := flag.Duration("timeline-window", 0, "with -timeline: virtual-time bucket width (0 = 100µs)")
 	flowsOn := flag.Bool("flows", false, "record and print the flow observatory (node×node traffic heatmap, top-K flows, per-resource breakdown)")
 	flag.Parse()
-
-	if *host != "" {
-		printHostTrend(*host)
-		return
-	}
 
 	clu, err := cellpilot.NewCluster(cellpilot.ClusterSpec{CellNodes: 2})
 	if err != nil {
@@ -251,25 +239,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// printHostTrend loads two host-benchmark ledger artifacts and prints
-// their movement per suite and metric — the host-cost counterpart of the
-// virtual-time views above.
-func printHostTrend(arg string) {
-	parts := strings.Split(arg, ",")
-	if len(parts) != 2 {
-		log.Fatalf("-host wants two files: -host BASE.json,NEW.json (got %q)", arg)
-	}
-	base, err := hostbench.ReadFile(strings.TrimSpace(parts[0]))
-	if err != nil {
-		log.Fatal(err)
-	}
-	now, err := hostbench.ReadFile(strings.TrimSpace(parts[1]))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(hostbench.FormatTrend(base, now))
 }
 
 // printTop renders the utilization view: where each process's virtual

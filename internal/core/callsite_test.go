@@ -115,10 +115,15 @@ func TestDiagnosticsNameUserCallSite(t *testing.T) {
 // into a fixed array. The ceilings are the eager-formatting counts
 // (Go 1.24, linux/amd64: 61 and 73 allocations per round trip); lazy call
 // sites measure 46 and 57 (55 and 68 under -race).
+//
+// A hardened round trip (Options.OpTimeout) also arms and cancels a
+// deadline per operation, including App.opCtl's unwatch closure. It
+// measures 55 and 68 (65 and 79 under -race); its ceilings sit about 9%
+// above those, so the closure cannot grow unnoticed.
 func TestRoundTripAllocCeiling(t *testing.T) {
 	const runs = 200
-	measure := func(t *testing.T, echoSPE bool) float64 {
-		a := NewApp(newTestCluster(t), Options{})
+	measure := func(t *testing.T, echoSPE bool, opts Options) float64 {
+		a := NewApp(newTestCluster(t), opts)
 		var out, back *Channel
 		if echoSPE {
 			spe := a.CreateSPE(&SPEProgram{Name: "echo", Body: func(ctx *SPECtx) {
@@ -158,13 +163,20 @@ func TestRoundTripAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		echoSPE bool
+		opts    Options
 		ceiling float64
+		race    float64 // ceiling under -race
 	}{
-		{"type1", false, 61},
-		{"type2", true, 73},
+		{"type1", false, Options{}, 61, 61},
+		{"type2", true, Options{}, 73, 73},
+		{"type1-hardened", false, Options{OpTimeout: sim.Second}, 60, 71},
+		{"type2-hardened", true, Options{OpTimeout: sim.Second}, 74, 87},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			got := measure(t, c.echoSPE)
+			if raceEnabled {
+				c.ceiling = c.race
+			}
+			got := measure(t, c.echoSPE, c.opts)
 			t.Logf("%s round trip: %.0f allocs", c.name, got)
 			if got > c.ceiling {
 				t.Fatalf("%s round trip allocates %.0f, ceiling %.0f", c.name, got, c.ceiling)

@@ -106,13 +106,6 @@ type procTags struct {
 type Profiler struct {
 	stride uint64
 
-	// BurnAllocBytes, when > 0, allocates that many bytes on every
-	// dispatched event — a deliberate host-cost injection used by the
-	// regression-guard tests to prove the guard catches an allocs/event
-	// slowdown. Zero in every production path.
-	BurnAllocBytes int
-	burn           []byte
-
 	// Kernel counters, always on while attached.
 	events   uint64
 	pushes   uint64
@@ -162,11 +155,6 @@ func (p *Profiler) Event() {
 		return
 	}
 	p.events++
-	// Burn in 64-byte pieces so the injection moves allocs/event, not
-	// just bytes/event — the guard must see it on both axes.
-	for n := p.BurnAllocBytes; n > 0; n -= 64 {
-		p.burn = make([]byte, 64)
-	}
 }
 
 // HeapPush counts one event-heap push and tracks the depth watermark.
@@ -417,15 +405,6 @@ func (p *Profiler) Snapshot() Snapshot {
 		return s.Subsystems[i].Name < s.Subsystems[j].Name
 	})
 	return s
-}
-
-// SubsysShares returns name -> share of sampled host time.
-func (s Snapshot) SubsysShares() map[string]float64 {
-	out := make(map[string]float64, len(s.Subsystems))
-	for _, sh := range s.Subsystems {
-		out[sh.Name] = sh.Share
-	}
-	return out
 }
 
 // PublishTo writes the snapshot into a metrics registry as host/* gauges,

@@ -70,7 +70,7 @@ func TestSubsystemAttribution(t *testing.T) {
 	p.Exit()
 	p.SliceEnd(1)
 	s := p.Snapshot()
-	sh := s.SubsysShares()
+	sh := subsysShares(s)
 	if sh["fmtmsg"] <= 0 {
 		t.Fatalf("fmtmsg got no time: %v", sh)
 	}
@@ -110,7 +110,7 @@ func TestFrameSurvivesPark(t *testing.T) {
 	p.Exit()
 	p.SliceEnd(1)
 
-	sh := p.Snapshot().SubsysShares()
+	sh := subsysShares(p.Snapshot())
 	if sh["user"] <= 0 {
 		t.Fatalf("proc 2's time missing from user bucket: %v", sh)
 	}
@@ -130,7 +130,7 @@ func TestSchedulerCallbackStackReset(t *testing.T) {
 	p.SliceStart(-1)
 	busy()
 	p.SliceEnd(-1)
-	sh := p.Snapshot().SubsysShares()
+	sh := subsysShares(p.Snapshot())
 	if sh["kernel"] <= 0 {
 		t.Fatalf("second callback's time not in kernel bucket: %v", sh)
 	}
@@ -141,19 +141,6 @@ func TestExitOnEmptyStack(t *testing.T) {
 	p.SliceStart(1)
 	p.Exit() // unbalanced: must not panic
 	p.SliceEnd(1)
-}
-
-func TestBurnAllocBytes(t *testing.T) {
-	p := New(1)
-	p.BurnAllocBytes = 1024
-	allocs := testing.AllocsPerRun(10, func() { p.Event() })
-	// 1024 bytes burned in 64-byte pieces: 16 allocations per event.
-	if allocs < 16 {
-		t.Fatalf("burn allocated %v times per event, want >= 16", allocs)
-	}
-	if len(p.burn) == 0 {
-		t.Fatalf("burn allocation missing")
-	}
 }
 
 func TestPublishTo(t *testing.T) {
@@ -253,4 +240,13 @@ func TestAbsorbMergesShardSnapshots(t *testing.T) {
 	if v := reg.Gauge("host/shards").Value(); v != 3 {
 		t.Fatalf("host/shards gauge = %v, want 3", v)
 	}
+}
+
+// subsysShares returns name -> share of sampled host time.
+func subsysShares(s Snapshot) map[string]float64 {
+	out := make(map[string]float64, len(s.Subsystems))
+	for _, sh := range s.Subsystems {
+		out[sh.Name] = sh.Share
+	}
+	return out
 }

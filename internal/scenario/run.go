@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"cellpilot/internal/cluster"
@@ -140,7 +139,7 @@ func runOnce(s *Scenario, opt Options) (*Outcome, error) {
 				if err != nil {
 					return nil, fmt.Errorf("workloads[%d] pingpong type %d: %w", i, typ, err)
 				}
-				p50, p99 := oneWayQuantiles(rtts)
+				p50, p99 := workload.OneWayQuantiles(rtts)
 				pt := PingPongType{Type: typ, OneWay: res.OneWay, P50: p50, P99: p99, MBps: res.ThroughputMBps}
 				po.Types = append(po.Types, pt)
 				fmt.Fprintf(&fp, "pingpong type=%d bytes=%d oneway_ns=%d p50_ns=%d p99_ns=%d mbps=%.3f\n",
@@ -274,19 +273,6 @@ func stageShare(tb critpath.TypeBlame, stage string) float64 {
 		}
 	}
 	return float64(sum) / float64(tb.Total)
-}
-
-// oneWayQuantiles reduces round-trip samples to one-way p50/p99.
-func oneWayQuantiles(rtts []sim.Time) (p50, p99 sim.Time) {
-	if len(rtts) == 0 {
-		return 0, 0
-	}
-	s := append([]sim.Time(nil), rtts...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	at := func(q float64) sim.Time {
-		return s[int(q*float64(len(s)-1))] / 2
-	}
-	return at(0.5), at(0.99)
 }
 
 // firstDiff renders the first diverging line of two fingerprints.

@@ -283,3 +283,63 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateZeroAllocs gates the pooled-allocation claim: once the
+// event and timer free lists are warm, dispatching an event, switching
+// between procs and handing a value through a queue (with or without a
+// deadline armed and cancelled) allocate nothing. BenchmarkEventDispatch,
+// BenchmarkContextSwitch and BenchmarkQueueHandoff time the same paths.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	const runs = 500
+	measure := func(name string, setup func(k *Kernel, allocs *float64)) {
+		k := NewKernel(1)
+		var allocs float64
+		setup(k, &allocs)
+		if err := k.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+	measure("dispatch", func(k *Kernel, allocs *float64) {
+		k.Spawn("ticker", func(p *Proc) {
+			*allocs = testing.AllocsPerRun(runs, func() { p.Advance(Microsecond) })
+		})
+	})
+	measure("switch", func(k *Kernel, allocs *float64) {
+		done := false
+		k.Spawn("a", func(p *Proc) {
+			*allocs = testing.AllocsPerRun(runs, p.Yield)
+			done = true
+		})
+		k.Spawn("b", func(p *Proc) {
+			for !done {
+				p.Yield()
+			}
+		})
+	})
+	for _, timed := range []bool{false, true} {
+		name := "handoff"
+		if timed {
+			name = "timed handoff"
+		}
+		measure(name, func(k *Kernel, allocs *float64) {
+			q := NewQueue[int](k, "q", 0)
+			k.Spawn("prod", func(p *Proc) {
+				for i := 0; i <= runs; i++ {
+					q.Put(p, i)
+				}
+			})
+			k.Spawn("cons", func(p *Proc) {
+				*allocs = testing.AllocsPerRun(runs, func() {
+					if timed {
+						q.GetTimeout(p, Second)
+					} else {
+						q.Get(p)
+					}
+				})
+			})
+		})
+	}
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
 )
 
@@ -62,6 +63,38 @@ func TestDeterminismAcrossGrid(t *testing.T) {
 		}
 		if a.OneWay <= 0 || a.OneWay > sim.Millisecond {
 			t.Fatalf("%+v: implausible %s", cfg, a.OneWay)
+		}
+	}
+}
+
+// TestKernelCountGolden pins the exact kernel work of one PingPong cell
+// per Table I type at both paper sizes: events dispatched, event-queue
+// pushes and pops, cancelled timers purged and host execution slices.
+// The counts are deterministic, so any change to how the kernel or a
+// protocol schedules work moves them — deliberately, and it shows here.
+func TestKernelCountGolden(t *testing.T) {
+	type counts struct{ events, pushes, pops, purged, slices uint64 }
+	golden := map[[2]int]counts{ // {type, bytes}, 100 round trips
+		{1, 1}: {1420, 1420, 1420, 0, 1420}, {1, 1600}: {1420, 1420, 1420, 0, 1420},
+		{2, 1}: {4857, 4857, 4857, 0, 4857}, {2, 1600}: {4857, 4857, 4857, 0, 4857},
+		{3, 1}: {5865, 5865, 5865, 0, 5865}, {3, 1600}: {5869, 5869, 5869, 0, 5869},
+		{4, 1}: {7387, 7387, 7387, 0, 7387}, {4, 1600}: {7287, 7287, 7287, 0, 7287},
+		{5, 1}: {10318, 10318, 10318, 0, 10318}, {5, 1600}: {10318, 10318, 10318, 0, 10318},
+	}
+	for typ := 1; typ <= 5; typ++ {
+		for _, bytes := range []int{1, 1600} {
+			h := hostprof.New(0)
+			if _, err := PingPong(PingPongConfig{
+				Type: typ, Bytes: bytes, Method: MethodCellPilot, Reps: 100,
+				Observe: observeHost(h),
+			}); err != nil {
+				t.Fatalf("type %d %dB: %v", typ, bytes, err)
+			}
+			s := h.Snapshot()
+			got := counts{s.Events, s.HeapPushes, s.HeapPops, s.CancelPurged, s.Slices}
+			if want := golden[[2]int{typ, bytes}]; got != want {
+				t.Errorf("type %d %dB: {events, pushes, pops, purged, slices} = %v, golden %v", typ, bytes, got, want)
+			}
 		}
 	}
 }

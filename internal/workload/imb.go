@@ -5,7 +5,6 @@ import (
 
 	"cellpilot/internal/cellbe"
 	"cellpilot/internal/cluster"
-	"cellpilot/internal/hostprof"
 	"cellpilot/internal/mpi"
 	"cellpilot/internal/sim"
 )
@@ -73,11 +72,8 @@ type IMBConfig struct {
 	Params *cellbe.Params
 	// Nodes overrides the cluster's node count. 0 keeps the default
 	// (min(Ranks, 8), the paper testbed's Cell node count); larger values
-	// build bigger clusters — the host benchmark's 64-node scenario uses
-	// it to stress kernel scaling beyond the paper's testbed.
+	// build bigger clusters, as a scenario's topology asks for.
 	Nodes int
-	// Host, when non-nil, measures the run's host-side (wall-clock) cost.
-	Host *hostprof.Profiler
 }
 
 // IMBResult is one measurement.
@@ -140,14 +136,6 @@ func IMB(cfg IMBConfig) (IMBResult, error) {
 	w, err := mpi.NewWorld(clu, placements)
 	if err != nil {
 		return IMBResult{}, err
-	}
-	// This path drives raw MPI with no core.App, so the host profiler is
-	// wired directly. Guarded: a typed-nil in the HostProbe interface
-	// would defeat the kernel's nil fast path.
-	if cfg.Host != nil {
-		clu.K.SetHostProbe(cfg.Host)
-		w.Host = cfg.Host
-		clu.Net.SetHostProf(cfg.Host)
 	}
 
 	var total sim.Time

@@ -39,9 +39,6 @@ type KiloscaleConfig struct {
 	// Reps is the per-replica round-trip count (default 50 pingpong,
 	// 5 chaos — the kiloscale axis is replica count, not depth).
 	Reps int
-	// Host, when non-nil, absorbs every replica's host-cost snapshot into
-	// one fleet-wide profile (hostprof.Snapshot.Shards = replica count).
-	Host *hostprof.Profiler
 }
 
 // KiloscaleResult is one kiloscale run's outcome.
@@ -174,9 +171,6 @@ func Kiloscale(cfg KiloscaleConfig) (KiloscaleResult, error) {
 			out.VirtualTime = vts[i]
 		}
 		out.Events += snaps[i].Events
-		if cfg.Host != nil {
-			cfg.Host.Absorb(snaps[i])
-		}
 	}
 	return out, nil
 }

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"cellpilot/internal/hostprof"
 )
 
 // TestKiloscaleSeqParEquivalence is the workload-level parallel-determinism
@@ -38,23 +36,6 @@ func TestKiloscaleSeqParEquivalence(t *testing.T) {
 		if rs.Events == 0 {
 			t.Fatalf("%s: no events counted", wl)
 		}
-	}
-}
-
-// TestKiloscaleAbsorbsHostProfile: the fleet-wide profiler reports the
-// replica count and the summed event total.
-func TestKiloscaleAbsorbsHostProfile(t *testing.T) {
-	h := hostprof.New(0)
-	res, err := Kiloscale(KiloscaleConfig{Nodes: 9, Workers: 2, Seed: 3, Reps: 2, Host: h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := h.Snapshot()
-	if s.Shards != res.Replicas {
-		t.Fatalf("absorbed shards = %d, want %d", s.Shards, res.Replicas)
-	}
-	if s.Events != res.Events {
-		t.Fatalf("absorbed events = %d, want %d", s.Events, res.Events)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"cellpilot/internal/cluster"
 	"cellpilot/internal/core"
-	"cellpilot/internal/hostprof"
 	"cellpilot/internal/sim"
 )
 
@@ -25,9 +24,6 @@ type SizeSweepConfig struct {
 	// Sizes overrides the payload sizes (default 64 B .. 1 MiB, with
 	// SPE-endpoint types capped at 128 KiB by the local-store budget).
 	Sizes []int
-	// Host, when non-nil, accumulates host-side (wall-clock) cost across
-	// every PingPong run of the sweep.
-	Host *hostprof.Profiler
 	// Spec overrides the simulated cluster for every point (nil = the
 	// paper's two-Cell + one-Xeon corner).
 	Spec *cluster.Spec
@@ -81,7 +77,7 @@ func SizeSweep(cfg SizeSweepConfig) ([]SizeSweepPoint, error) {
 			for _, chunked := range []bool{false, true} {
 				pp := PingPongConfig{
 					Type: typ, Bytes: bytes, Method: MethodCellPilot, Reps: cfg.Reps,
-					Observe: observeHost(cfg.Host), Spec: cfg.Spec,
+					Spec: cfg.Spec,
 				}
 				if chunked {
 					pp.Transfer = cfg.Transfer
@@ -91,7 +87,7 @@ func SizeSweep(cfg SizeSweepConfig) ([]SizeSweepPoint, error) {
 				if _, err := PingPong(pp); err != nil {
 					return nil, err
 				}
-				p50, p99 := latencyQuantiles(rtts)
+				p50, p99 := OneWayQuantiles(rtts)
 				pt := SizeSweepPoint{
 					Type: typ, Bytes: bytes, Chunked: chunked,
 					OneWayP50: p50, OneWayP99: p99,
@@ -106,16 +102,17 @@ func SizeSweep(cfg SizeSweepConfig) ([]SizeSweepPoint, error) {
 	return out, nil
 }
 
-// latencyQuantiles reduces per-round round-trip samples to one-way p50/p99.
-func latencyQuantiles(rtts []sim.Time) (p50, p99 sim.Time) {
+// OneWayQuantiles reduces per-round round-trip samples (as collected
+// through PingPongConfig.RoundTrips) to exact one-way p50/p99: the
+// sorted sample at index floor(q*(n-1)), halved.
+func OneWayQuantiles(rtts []sim.Time) (p50, p99 sim.Time) {
 	if len(rtts) == 0 {
 		return 0, 0
 	}
 	s := append([]sim.Time(nil), rtts...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	at := func(q float64) sim.Time {
-		i := int(q * float64(len(s)-1))
-		return s[i] / 2
+		return s[int(q*float64(len(s)-1))] / 2
 	}
 	return at(0.5), at(0.99)
 }
